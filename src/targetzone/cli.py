@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,63 +72,64 @@ def _param_pairs(config: RunConfig) -> list[tuple[str, object]]:
     ]
 
 
-def _calibrated_band(config: RunConfig):
-    """Band plus a stationary evaluator; rho = 0 routes to the BM reference."""
-    p = config.params
-    if p.rho == 0:
-        coefs, band = calibrate_bm(p.alpha, p.sigma, config.e_bar)
-        return band, coefs, (lambda f: eval_stationary_bm(coefs, f))
-    if p.mu != 0:
+class _Calibrated(NamedTuple):
+    """A calibrated stationary model: band, evaluators and report lines."""
+
+    band: Band
+    value: Callable[[float], float]
+    slope: Callable[[float], float]
+    pairs: list[tuple[str, object]]
+    tag: str  # names the model's figure-4 curve file
+
+
+def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
+    """Calibrate the stationary model; rho = 0 routes to the BM reference."""
+    if params.rho == 0:
+        bm, band = calibrate_bm(params.alpha, params.sigma, e_bar)
+        return _Calibrated(
+            band,
+            lambda f: eval_stationary_bm(bm, f),
+            lambda f: eval_stationary_bm_slope(bm, f),
+            [("model", "bm"), ("lambda", bm.lam), ("a_coef", bm.a_coef)],
+            "bm",
+        )
+    if params.mu != 0:
         raise ConfigError("mu", "band calibration is implemented for the symmetric case mu = 0")
-    coefs, band = calibrate_symmetric(p, config.e_bar)
-    return band, coefs, (lambda f: eval_stationary(p, coefs, f))
+    coefs, band = calibrate_symmetric(params, e_bar)
+    return _Calibrated(
+        band,
+        lambda f: eval_stationary(params, coefs, f),
+        lambda f: eval_stationary_slope(params, coefs, f),
+        [("model", "ou"), ("c1", coefs.c1), ("c2", coefs.c2)],
+        f"ou_rho={params.rho:g}",
+    )
 
 
 def cmd_calibrate(config: RunConfig) -> int:
-    p = config.params
     print("targetzone calibrate")
     _echo(_param_pairs(config))
-    if p.rho == 0:
-        coefs, band = calibrate_bm(p.alpha, p.sigma, config.e_bar)
-        res_value = eval_stationary_bm(coefs, band.f_hi) - config.e_bar
-        res_slope = eval_stationary_bm_slope(coefs, band.f_hi)
-        _echo(
-            [
-                ("model", "bm"),
-                ("lambda", coefs.lam),
-                ("a_coef", coefs.a_coef),
-                ("f_bar", band.f_hi),
-                ("residual_value", res_value),
-                ("residual_slope", res_slope),
-            ]
-        )
-    else:
-        coefs, band = calibrate_symmetric(p, config.e_bar)
-        res_value = eval_stationary(p, coefs, band.f_hi) - config.e_bar
-        res_slope = eval_stationary_slope(p, coefs, band.f_hi)
-        _echo(
-            [
-                ("model", "ou"),
-                ("c1", coefs.c1),
-                ("c2", coefs.c2),
-                ("f_bar", band.f_hi),
-                ("residual_value", res_value),
-                ("residual_slope", res_slope),
-            ]
-        )
+    model = _calibrated_band(config.params, config.e_bar)
+    f_bar = model.band.f_hi
+    _echo(
+        [
+            *model.pairs,
+            ("f_bar", f_bar),
+            ("residual_value", model.value(f_bar) - config.e_bar),
+            ("residual_slope", model.slope(f_bar)),
+        ]
+    )
     return 0
 
 
-def _solve(config: RunConfig) -> tuple[Surface, Band, object]:
-    band, coefs, stationary = _calibrated_band(config)
-    surface = solve_nonstationary(config.params, band, config.grid)
-    return surface, band, stationary
+def _solve(config: RunConfig) -> tuple[Surface, _Calibrated]:
+    model = _calibrated_band(config.params, config.e_bar)
+    return solve_nonstationary(config.params, model.band, config.grid), model
 
 
 def cmd_solve(config: RunConfig) -> int:
-    surface, band, stationary = _solve(config)
+    surface, model = _solve(config)
     final = surface.values[-1]
-    gap = float(np.max(np.abs(final - np.array([stationary(f) for f in surface.f_axis]))))
+    gap = float(np.max(np.abs(final - np.array([model.value(f) for f in surface.f_axis]))))
     print("targetzone solve")
     _echo(_param_pairs(config))
     _echo(
@@ -136,7 +137,7 @@ def cmd_solve(config: RunConfig) -> int:
             ("nf", config.grid.nf),
             ("nt", config.grid.nt),
             ("theta", config.grid.theta),
-            ("f_bar", band.f_hi),
+            ("f_bar", model.band.f_hi),
             ("edge_value_at_horizon", float(final[-1])),
             ("max_gap_to_stationary_at_horizon", gap),
         ]
@@ -148,7 +149,7 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    band, _, _ = _calibrated_band(config)
+    band = _calibrated_band(config.params, config.e_bar).band
     f0 = config.f0 if config.f0 is not None else 0.5 * band.f_hi
     t = config.probe_t if config.probe_t is not None else config.params.horizon
     est = feynman_kac_estimate(
@@ -193,11 +194,11 @@ def cmd_figure(which: int, config: RunConfig) -> int:
     _echo(_param_pairs(config))
 
     if which == 1:
-        surface, _, _ = _solve(config)
+        surface, _ = _solve(config)
         _write_surface(out, surface)
         written = [out]
     elif which == 2:
-        surface, _, _ = _solve(config)
+        surface, _ = _solve(config)
         rows = []
         for fraction in _SECTION_FRACTIONS:
             section = slice_at(surface, fraction * config.params.horizon)
@@ -205,7 +206,7 @@ def cmd_figure(which: int, config: RunConfig) -> int:
         write_csv(out, ["t", "f", "e"], rows)
         written = [out]
     elif which == 3:
-        surface, _, _ = _solve(config)
+        surface, _ = _solve(config)
         paths = boundary_paths(surface)
         write_csv(out, ["t", "e_lower", "e_upper"], paths.rows())
         written = [out]
@@ -224,31 +225,16 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
     p = config.params
     stem = Path(out)
     written: list[str] = []
-
-    def curve_path(tag: str) -> Path:
-        return stem.with_name(f"{stem.stem}_{tag}{stem.suffix or '.csv'}")
-
-    bm_coefs, bm_band = calibrate_bm(p.alpha, p.sigma, config.e_bar)
-    f_grid = np.linspace(bm_band.f_lo, bm_band.f_hi, _FIG4_CURVE_POINTS)
-    path = curve_path("bm")
-    write_csv(
-        path,
-        ["f", "e"],
-        [(float(f), eval_stationary_bm(bm_coefs, float(f))) for f in f_grid],
-        comments=[f"f_bar={_fmt(bm_band.f_hi)}"],
-    )
-    written.append(str(path))
-
-    for rho in config.rho_list:
-        params = ModelParams(p.alpha, rho, p.sigma, 0.0, p.horizon)
-        coefs, band = calibrate_symmetric(params, config.e_bar)
-        f_grid = np.linspace(band.f_lo, band.f_hi, _FIG4_CURVE_POINTS)
-        path = curve_path(f"ou_rho={rho:g}")
+    # BM first, then one mean-reverting curve per rho; all on mu = 0.
+    for rho in (0.0, *config.rho_list):
+        model = _calibrated_band(ModelParams(p.alpha, rho, p.sigma, 0.0, p.horizon), config.e_bar)
+        f_grid = np.linspace(model.band.f_lo, model.band.f_hi, _FIG4_CURVE_POINTS)
+        path = stem.with_name(f"{stem.stem}_{model.tag}{stem.suffix or '.csv'}")
         write_csv(
             path,
             ["f", "e"],
-            [(float(f), eval_stationary(params, coefs, float(f))) for f in f_grid],
-            comments=[f"f_bar={_fmt(band.f_hi)}"],
+            [(float(f), model.value(float(f))) for f in f_grid],
+            comments=[f"f_bar={_fmt(model.band.f_hi)}"],
         )
         written.append(str(path))
     return written

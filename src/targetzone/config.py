@@ -14,6 +14,7 @@ from typing import Iterable
 from .errors import ConfigError, ParameterError
 from .model import ModelParams
 from .pde import GridSpec
+from .stochastic import MIN_PATHS
 
 # Reference-experiment defaults: mu=0, rho=1, sigma=0.1, alpha=3, e_bar=0.01, T=3.
 _DEFAULTS: dict[str, object] = {
@@ -83,22 +84,11 @@ def _convert(key: str, raw: object):
 
 
 def _validated(settings: dict[str, object]) -> RunConfig:
-    def positive(key):
+    for key in ("e_bar", "dt"):
         if not settings[key] > 0:
             raise ConfigError(key, f"must be positive, got {settings[key]}")
-
-    for key in ("alpha", "sigma", "e_bar", "horizon", "dt"):
-        positive(key)
-    if settings["rho"] < 0:
-        raise ConfigError("rho", f"must be non-negative, got {settings['rho']}")
-    if settings["nf"] < 3:
-        raise ConfigError("nf", f"must be at least 3, got {settings['nf']}")
-    if settings["nt"] < 1:
-        raise ConfigError("nt", f"must be at least 1, got {settings['nt']}")
-    if not 0.0 <= settings["theta"] <= 1.0:
-        raise ConfigError("theta", f"must lie in [0, 1], got {settings['theta']}")
-    if settings["paths"] < 2:
-        raise ConfigError("paths", f"must be at least 2, got {settings['paths']}")
+    if settings["paths"] < MIN_PATHS:
+        raise ConfigError("paths", f"must be at least {MIN_PATHS}, got {settings['paths']}")
     if settings["seed"] < 0:
         raise ConfigError("seed", f"must be unsigned, got {settings['seed']}")
     if settings["t"] is not None and settings["t"] < 0:
@@ -115,8 +105,8 @@ def _validated(settings: dict[str, object]) -> RunConfig:
             horizon=settings["horizon"],
         )
         grid = GridSpec(nf=settings["nf"], nt=settings["nt"], theta=settings["theta"])
-    except ParameterError as exc:  # the per-key checks above should preempt this
-        raise ConfigError("config", str(exc)) from exc
+    except ParameterError as exc:
+        raise ConfigError(exc.key, str(exc)) from exc
 
     return RunConfig(
         params=params,

@@ -6,7 +6,11 @@ class TargetZoneError(Exception):
 
 
 class ParameterError(TargetZoneError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition; may name the offending key."""
+
+    def __init__(self, message: str, key: str | None = None):
+        self.key = key
+        super().__init__(message)
 
 
 class ConfigError(TargetZoneError, ValueError):

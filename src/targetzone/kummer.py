@@ -43,7 +43,10 @@ def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     running partial sum (two, so that an incidentally zero term cannot stop
     an alternating series early); the truncation error is then below ``tol``
     relative to the sum. Raises ConvergenceError if ``max_terms`` terms are
-    not enough.
+    not enough, or if cancellation between terms of mixed sign leaves a
+    rounding error (about 2**-52 times the largest term) above ``tol``
+    relative to the sum. Terms never change sign for a > 0, b > 0, z >= 0,
+    so there the cancellation check cannot fire.
     """
     _check_b(args.b)
     if tol <= 0:
@@ -53,13 +56,22 @@ def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     rel_stop = min(tol, _MACHINE_REL)
     term = 1.0
     total = 1.0
+    largest = 1.0
     small_streak = 0
     for n in range(max_terms):
         term *= (a + n) * z / ((b + n) * (n + 1))
         total += term
-        if abs(term) <= rel_stop * abs(total):
+        size = abs(term)
+        if size > largest:
+            largest = size
+        if size <= rel_stop * abs(total):
             small_streak += 1
             if small_streak >= 2:
+                if largest * _MACHINE_REL > max(tol, _MACHINE_REL) * abs(total):
+                    raise ConvergenceError(
+                        f"Kummer series for (a={a}, b={b}, z={z}) cancels beyond tol "
+                        f"(largest term {largest:.3e}, sum {total:.3e})"
+                    )
                 return total
         else:
             small_streak = 0

@@ -26,13 +26,13 @@ class ModelParams:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+            raise ParameterError(f"alpha must be positive, got {self.alpha}", "alpha")
         if not self.sigma > 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+            raise ParameterError(f"sigma must be positive, got {self.sigma}", "sigma")
         if self.rho < 0:
-            raise ParameterError(f"rho must be non-negative, got {self.rho}")
+            raise ParameterError(f"rho must be non-negative, got {self.rho}", "rho")
         if not self.horizon > 0:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+            raise ParameterError(f"horizon must be positive, got {self.horizon}", "horizon")
 
 
 @dataclass(frozen=True)

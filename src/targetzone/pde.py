@@ -42,11 +42,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.nf < 3:
-            raise ParameterError(f"nf must be at least 3, got {self.nf}")
+            raise ParameterError(f"nf must be at least 3, got {self.nf}", "nf")
         if self.nt < 1:
-            raise ParameterError(f"nt must be at least 1, got {self.nt}")
+            raise ParameterError(f"nt must be at least 1, got {self.nt}", "nt")
         if not 0.0 <= self.theta <= 1.0:
-            raise ParameterError(f"theta must lie in [0, 1], got {self.theta}")
+            raise ParameterError(f"theta must lie in [0, 1], got {self.theta}", "theta")
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,17 @@ oddness forces c1 = 0 and (c2, f_hi) solve the value and smooth-pasting
 conditions at the upper edge; `calibrate_symmetric` solves that 2x2 system by
 damped Newton with the analytic Jacobian. `calibrate_bm` provides the
 rho -> 0 (regulated Brownian motion) reference in closed form.
+
+Value, slope and curvature at a point all come from one jet, which evaluates
+the six Kummer values M(a_i + k, b_i + k, z), k = 0, 1, 2, once. Newton
+evaluates one jet per trial point, and the jet of an accepted trial point is
+also the next Jacobian, so no point is evaluated twice.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,72 +47,66 @@ def _require_mean_reverting(params: ModelParams) -> None:
         )
 
 
-def _kummer_abc(params: ModelParams) -> tuple[float, float]:
-    # a-parameters of the two homogeneous terms; b's are fixed at 1/2 and 3/2.
-    a1 = 1.0 / (2.0 * params.alpha * params.rho)
-    a2 = (1.0 + params.alpha * params.rho) / (2.0 * params.alpha * params.rho)
-    return a1, a2
+class _Jet(NamedTuple):
+    """Value, slope and curvature of e at one point, plus the c2-columns h2, h2'."""
+
+    value: float
+    slope: float
+    curvature: float
+    h2: float
+    h2p: float
 
 
-def _homogeneous_terms(params: ModelParams, f: float) -> tuple[float, float]:
-    """Values of the two homogeneous solutions h1, h2 at f."""
-    a1, a2 = _kummer_abc(params)
-    u = params.mu - f
-    z = params.rho * u * u / params.sigma**2
-    h1 = kummer_m(KummerArgs(a1, 0.5, z))
-    h2 = (math.sqrt(params.rho) * u / params.sigma) * kummer_m(KummerArgs(a2, 1.5, z))
-    return h1, h2
+def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
+    """Evaluate the stationary solution and its first two df-derivatives at f.
 
-
-def _homogeneous_slopes(params: ModelParams, f: float) -> tuple[float, float]:
-    """df-derivatives of h1, h2 (chain rule through z(f) = rho*(mu-f)^2/sigma^2)."""
-    a1, a2 = _kummer_abc(params)
+    The six Kummer values M(a, b, z), M(a+1, b+1, z) and M(a+2, b+2, z) of
+    both homogeneous terms are computed once; the derivatives follow from
+    dM(a, b, z)/dz = (a/b) M(a+1, b+1, z) and the chain rule through
+    z(f) = rho*(mu-f)^2/sigma^2.
+    """
+    _require_mean_reverting(params)
     rho, sigma = params.rho, params.sigma
+    a1 = 1.0 / (2.0 * params.alpha * rho)
+    a2 = (1.0 + params.alpha * rho) / (2.0 * params.alpha * rho)
     u = params.mu - f
     z = rho * u * u / sigma**2
+    m1 = kummer_m(KummerArgs(a1, 0.5, z))
     m2 = kummer_m(KummerArgs(a2, 1.5, z))
     m1p = (a1 / 0.5) * kummer_m(KummerArgs(a1 + 1.0, 1.5, z))
     m2p = (a2 / 1.5) * kummer_m(KummerArgs(a2 + 1.0, 2.5, z))
+    m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(KummerArgs(a1 + 2.0, 2.5, z))
+    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(KummerArgs(a2 + 2.0, 3.5, z))
+
+    h2 = (math.sqrt(rho) * u / sigma) * m2
     h1p = -(2.0 * rho * u / sigma**2) * m1p
     h2p = -((math.sqrt(rho) / sigma) * m2 + (2.0 * rho**1.5 * u * u / sigma**3) * m2p)
-    return h1p, h2p
-
-
-def _homogeneous_curvatures(params: ModelParams, f: float) -> tuple[float, float]:
-    """Second df-derivatives of h1, h2 (the derivative identity applied twice)."""
-    a1, a2 = _kummer_abc(params)
-    rho, sigma = params.rho, params.sigma
-    u = params.mu - f
-    z = rho * u * u / sigma**2
-    m1p = (a1 / 0.5) * kummer_m(KummerArgs(a1 + 1.0, 1.5, z))
-    m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(KummerArgs(a1 + 2.0, 2.5, z))
-    m2p = (a2 / 1.5) * kummer_m(KummerArgs(a2 + 1.0, 2.5, z))
-    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(KummerArgs(a2 + 2.0, 3.5, z))
     h1pp = (4.0 * rho**2 * u * u / sigma**4) * m1pp + (2.0 * rho / sigma**2) * m1p
     h2pp = (6.0 * rho**1.5 * u / sigma**3) * m2p + (4.0 * rho**2.5 * u**3 / sigma**5) * m2pp
-    return h1pp, h2pp
+
+    particular = (params.alpha * rho * params.mu + f) / (1.0 + params.alpha * rho)
+    return _Jet(
+        value=coefs.c1 * m1 + coefs.c2 * h2 + particular,
+        slope=coefs.c1 * h1p + coefs.c2 * h2p + 1.0 / (1.0 + params.alpha * rho),
+        curvature=coefs.c1 * h1pp + coefs.c2 * h2pp,
+        h2=h2,
+        h2p=h2p,
+    )
 
 
 def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: float) -> float:
     """Stationary exchange rate e(f) for given integration constants."""
-    _require_mean_reverting(params)
-    h1, h2 = _homogeneous_terms(params, f)
-    particular = (params.alpha * params.rho * params.mu + f) / (1.0 + params.alpha * params.rho)
-    return coefs.c1 * h1 + coefs.c2 * h2 + particular
+    return _jet(params, coefs, f).value
 
 
 def eval_stationary_slope(params: ModelParams, coefs: StationaryCoefficients, f: float) -> float:
     """Analytic de/df of the stationary solution."""
-    _require_mean_reverting(params)
-    h1p, h2p = _homogeneous_slopes(params, f)
-    return coefs.c1 * h1p + coefs.c2 * h2p + 1.0 / (1.0 + params.alpha * params.rho)
+    return _jet(params, coefs, f).slope
 
 
 def eval_stationary_curvature(params: ModelParams, coefs: StationaryCoefficients, f: float) -> float:
     """Analytic d2e/df2 of the stationary solution."""
-    _require_mean_reverting(params)
-    h1pp, h2pp = _homogeneous_curvatures(params, f)
-    return coefs.c1 * h1pp + coefs.c2 * h2pp
+    return _jet(params, coefs, f).curvature
 
 
 def stationary_ode_residual(
@@ -125,9 +124,7 @@ def stationary_ode_residual(
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     out = np.empty(len(f_grid))
     for i, f in enumerate(f_grid):
-        e = eval_stationary(params, coefs, f)
-        ep = eval_stationary_slope(params, coefs, f)
-        epp = eval_stationary_curvature(params, coefs, f)
+        e, ep, epp, _, _ = _jet(params, coefs, f)
         out[i] = 0.5 * a * s2 * epp - a * r * (f - params.mu) * ep - e + f
     return out
 
@@ -149,18 +146,13 @@ def calibrate_symmetric(
     if not e_bar > 0:
         raise ParameterError(f"e_bar must be positive, got {e_bar}")
 
-    def residuals(c2: float, f_bar: float) -> np.ndarray:
-        coefs = StationaryCoefficients(0.0, c2)
-        return np.array(
-            [
-                eval_stationary(params, coefs, f_bar) - e_bar,
-                eval_stationary_slope(params, coefs, f_bar),
-            ]
-        )
+    def trial(c2: float, f_bar: float) -> tuple[_Jet, np.ndarray]:
+        jet = _jet(params, StationaryCoefficients(0.0, c2), f_bar)
+        return jet, np.array([jet.value - e_bar, jet.slope])
 
     c2 = 0.0
     f_bar = (1.0 + params.alpha * params.rho) * e_bar
-    res = residuals(c2, f_bar)
+    jet, res = trial(c2, f_bar)
     norm = np.max(np.abs(res))
 
     for _ in range(_NEWTON_MAX_ITER):
@@ -169,15 +161,8 @@ def calibrate_symmetric(
             band = Band(-f_bar, f_bar, -e_bar, e_bar)
             return coefs, band
 
-        coefs = StationaryCoefficients(0.0, c2)
-        _, h2 = _homogeneous_terms(params, f_bar)
-        _, h2p = _homogeneous_slopes(params, f_bar)
-        jac = np.array(
-            [
-                [h2, eval_stationary_slope(params, coefs, f_bar)],
-                [h2p, eval_stationary_curvature(params, coefs, f_bar)],
-            ]
-        )
+        # The current point's jet already holds the Jacobian.
+        jac = np.array([[jet.h2, jet.slope], [jet.h2p, jet.curvature]])
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -188,7 +173,7 @@ def calibrate_symmetric(
         while True:
             c2_new, f_new = c2 + lam * step[0], f_bar + lam * step[1]
             if f_new > 0:
-                res_new = residuals(c2_new, f_new)
+                jet_new, res_new = trial(c2_new, f_new)
                 norm_new = np.max(np.abs(res_new))
                 if norm_new < norm:
                     break
@@ -199,7 +184,7 @@ def calibrate_symmetric(
                     f"e_bar={e_bar} may admit no smooth-pasting solution",
                     res,
                 )
-        c2, f_bar, res, norm = c2_new, f_new, res_new, norm_new
+        c2, f_bar, jet, res, norm = c2_new, f_new, jet_new, res_new, norm_new
 
     raise CalibrationError(
         f"calibration did not converge in {_NEWTON_MAX_ITER} iterations "

@@ -34,6 +34,7 @@ from .errors import ParameterError
 from .model import Band, ModelParams
 
 _BLOCK = 8192  # noise rows per Philox substream; part of the reproducibility contract
+MIN_PATHS = 100  # fewest paths for which the standard error is reported
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def feynman_kac_estimate(
     Parameters
     ----------
     t : time remaining; the integral runs over [0, t] with weight exp(-s/alpha)/alpha.
-    n_paths : at least 100; with antithetic pairing it must be even.
+    n_paths : at least MIN_PATHS; with antithetic pairing it must be even.
     dt : nominal step; the actual step is t/round(t/dt) so the grid ends at t.
     antithetic : pair each even path with the negated noise of its predecessor;
         defaults to True exactly when f0 == 0 (where pairing cancels the mean
@@ -186,8 +187,8 @@ def feynman_kac_estimate(
     _check_band_point(band, f0)
     if t < 0:
         raise ParameterError(f"t must be non-negative, got {t}")
-    if n_paths < 100:
-        raise ParameterError(f"n_paths must be at least 100, got {n_paths}")
+    if n_paths < MIN_PATHS:
+        raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}")
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     if seed < 0:

@@ -123,6 +123,11 @@ def test_simulate_probe_defaults_and_csv(tmp_path, capsys):
     assert rows[0, 2] == 2000
 
 
+def test_simulate_too_few_paths_fails_with_key(capsys):
+    assert main(["simulate", "--paths", "50"]) == 1
+    assert capsys.readouterr().err.startswith("error: paths")
+
+
 def test_simulate_f0_outside_band_fails(capsys):
     assert main(["simulate", *FAST_MC, "--f0", "0.5"]) == 1
     assert "f0" in capsys.readouterr().err

@@ -104,3 +104,10 @@ def test_bad_tol_raises():
 def test_nonconvergence_reports_terms():
     with pytest.raises(ConvergenceError, match="500 terms"):
         kummer_m(KummerArgs(1.0, 1.0, 400.0))
+
+
+def test_cancellation_raises_instead_of_a_wrong_value():
+    # The true value is 0.0390 (scipy.special.hyp1f1); the alternating series
+    # peaks near 7e24 and its float sum is -4.8e8.
+    with pytest.raises(ConvergenceError, match="cancels"):
+        kummer_m(KummerArgs(166.7, 0.5, -5.0))
