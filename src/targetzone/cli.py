@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import SETTINGS, RunConfig, parse_config
 from .errors import ConfigError, TargetZoneError
 from .model import Band, ModelParams
 from .pde import Surface, boundary_paths, slice_at, solve_nonstationary
@@ -180,10 +180,13 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def _write_surface(path: str | Path, surface: Surface) -> None:
+    f_axis = surface.f_axis.tolist()
+
     def rows():
-        for k, t in enumerate(surface.t_axis):
-            for i, f in enumerate(surface.f_axis):
-                yield (float(t), float(f), float(surface.values[k, i]))
+        # One time step at a time: whole-surface lists would multiply peak memory.
+        for t, values in zip(surface.t_axis.tolist(), surface.values):
+            for f, e in zip(f_axis, values.tolist()):
+                yield (t, f, e)
 
     write_csv(path, ["t", "f", "e"], rows())
 
@@ -242,24 +245,9 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for flag in (
-        "--alpha",
-        "--rho",
-        "--sigma",
-        "--mu",
-        "--e-bar",
-        "--horizon",
-        "--theta",
-        "--dt",
-        "--f0",
-        "--t",
-    ):
-        common.add_argument(flag)
-    for flag in ("--nf", "--nt", "--paths", "--seed"):
-        common.add_argument(flag)
-    common.add_argument("--rho-list")
+    for key in SETTINGS:
+        common.add_argument("--" + key.replace("_", "-"))
     common.add_argument("--config", dest="config_path")
-    common.add_argument("--out")
 
     parser = argparse.ArgumentParser(
         prog="targetzone",
@@ -278,26 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = (
-    "alpha",
-    "rho",
-    "sigma",
-    "mu",
-    "e_bar",
-    "horizon",
-    "theta",
-    "dt",
-    "f0",
-    "t",
-    "nf",
-    "nt",
-    "paths",
-    "seed",
-    "rho_list",
-    "out",
-)
-
-
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     if ns.config_path:
         path = Path(ns.config_path)
@@ -306,7 +274,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         file_text = path.read_text()
     else:
         file_text = ""
-    overrides = [(key, getattr(ns, key)) for key in _FLAG_KEYS if getattr(ns, key) is not None]
+    overrides = [(key, getattr(ns, key)) for key in SETTINGS if getattr(ns, key) is not None]
     return parse_config(file_text, overrides)
 
 

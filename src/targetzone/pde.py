@@ -78,12 +78,12 @@ def _operator_diagonals(params: ModelParams, band: Band, nf: int):
     # and doubles the one-sided diffusion neighbour.
     upper[0] = 2.0 * diff
     lower[-1] = 2.0 * diff
-    return f, df, lower, main, upper
+    return f, lower, main, upper
 
 
 def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surface:
     """March the theta scheme from e(0, f) = 0 over nt steps of T/nt years."""
-    f, _, lower, main, upper = _operator_diagonals(params, band, grid.nf)
+    f, lower, main, upper = _operator_diagonals(params, band, grid.nf)
     dt = params.horizon / grid.nt
     theta = grid.theta
     source = f / params.alpha

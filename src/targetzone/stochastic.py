@@ -74,6 +74,37 @@ class McEstimate:
     seed: int
 
 
+def check_mc_settings(
+    f0: float | None,
+    t: float | None,
+    n_paths: int,
+    dt: float,
+    seed: int,
+    antithetic: bool | None = None,
+) -> bool:
+    """Check the Monte-Carlo settings that do not need the band; return `antithetic`.
+
+    A ``None`` t is not checked. The ``antithetic`` default is True exactly
+    when f0 == 0. Errors carry the run-setting key (t, paths, dt, seed).
+    """
+    if t is not None and t < 0:
+        raise ParameterError(f"t must be non-negative, got {t}", key="t")
+    if n_paths < MIN_PATHS:
+        raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}", key="paths")
+    if not dt > 0:
+        raise ParameterError(f"dt must be positive, got {dt}", key="dt")
+    # The Philox key of a block is the two uint64 words [seed, block].
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}", key="seed")
+    if antithetic is None:
+        antithetic = f0 == 0.0
+    if antithetic and n_paths % 2:
+        raise ParameterError(
+            f"antithetic pairing needs an even n_paths, got {n_paths}", key="paths"
+        )
+    return antithetic
+
+
 def _check_band_point(band: Band, f0: float) -> None:
     if not band.f_lo <= f0 <= band.f_hi:
         raise ParameterError(f"f0={f0} outside the band [{band.f_lo}, {band.f_hi}]")
@@ -185,18 +216,7 @@ def feynman_kac_estimate(
         mean and standard error are always computed over per-path integrals.
     """
     _check_band_point(band, f0)
-    if t < 0:
-        raise ParameterError(f"t must be non-negative, got {t}")
-    if n_paths < MIN_PATHS:
-        raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}")
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if seed < 0:
-        raise ParameterError(f"seed must be unsigned, got {seed}")
-    if antithetic is None:
-        antithetic = f0 == 0.0
-    if antithetic and n_paths % 2:
-        raise ParameterError(f"antithetic pairing needs an even n_paths, got {n_paths}")
+    antithetic = check_mc_settings(f0, t, n_paths, dt, seed, antithetic)
 
     if t == 0.0:
         return McEstimate(0.0, 0.0, n_paths, seed)

@@ -128,6 +128,20 @@ def test_simulate_too_few_paths_fails_with_key(capsys):
     assert capsys.readouterr().err.startswith("error: paths")
 
 
+def test_simulate_odd_paths_at_center_fails_with_key(capsys):
+    # f0 = 0 pairs paths antithetically, which needs an even path count.
+    assert main(["simulate", "--f0", "0", "--paths", "101", "--dt", "0.01", "--t", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error: paths")
+
+
+def test_simulate_seed_beyond_uint64_fails_with_key(capsys):
+    argv = ["simulate", "--seed", str(2**64), "--paths", "1000", "--dt", "0.01", "--t", "0.1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed")
+    assert "Traceback" not in err
+
+
 def test_simulate_f0_outside_band_fails(capsys):
     assert main(["simulate", *FAST_MC, "--f0", "0.5"]) == 1
     assert "f0" in capsys.readouterr().err
