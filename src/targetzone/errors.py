@@ -38,4 +38,4 @@ class InstabilityError(TargetZoneError, RuntimeError):
 
 
 class SingularSystemError(TargetZoneError, RuntimeError):
-    """The tridiagonal system of a time step could not be solved."""
+    """The tridiagonal time-step matrix is singular, so it cannot be factored."""

@@ -37,6 +37,15 @@ _BLOCK = 8192  # noise rows per Philox substream; part of the reproducibility co
 MIN_PATHS = 100  # fewest paths for which the standard error is reported
 
 
+def _check_step_and_seed(dt: float, seed: int) -> None:
+    """The step and seed rules shared by `PathSpec` and `check_mc_settings`."""
+    if not dt > 0:
+        raise ParameterError(f"dt must be positive, got {dt}", key="dt")
+    # The Philox key of a Monte-Carlo block is the two uint64 words [seed, block].
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}", key="seed")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """One simulated path: start value, step size, step count, seed."""
@@ -47,12 +56,9 @@ class PathSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        _check_step_and_seed(self.dt, self.seed)
         if self.n_steps < 1:
             raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be unsigned, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +97,7 @@ def check_mc_settings(
         raise ParameterError(f"t must be non-negative, got {t}", key="t")
     if n_paths < MIN_PATHS:
         raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}", key="paths")
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}", key="dt")
-    # The Philox key of a block is the two uint64 words [seed, block].
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be in [0, 2**64), got {seed}", key="seed")
+    _check_step_and_seed(dt, seed)
     if antithetic is None:
         antithetic = f0 == 0.0
     if antithetic and n_paths % 2:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,15 @@ def test_solve_report_and_csv(tmp_path, capsys):
     first_slice = rows[:81]
     assert np.all(first_slice[:, 0] == 0.0)
     assert np.all(first_slice[:, 2] == 0.0)
+
+
+def test_solve_surface_bytes_are_pinned(tmp_path):
+    # Pins the solver to the last bit, not only run against run: any change
+    # of the time stepping that moves one ulp changes this digest.
+    out_path = tmp_path / "surface.csv"
+    assert main(["solve", "--nf", "41", "--nt", "300", "--out", str(out_path)]) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "4745c9cadde767b7235e82a4b122b9a86aa2d5b3f1b9ab6e34b39231f394b587"
 
 
 def test_solve_invalid_grid_fails_with_key(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,39 @@ def test_explicit_scheme_blowup_names_step(base_params, calibrated):
     _, band = calibrated
     with pytest.raises(InstabilityError, match="step"):
         solve_nonstationary(base_params, band, GridSpec(401, 100, 0.0))
+
+
+def test_steep_drift_on_coarse_grid_warns_with_peclet_number():
+    from targetzone import Band, ModelParams
+
+    # Interior nodes -0.5, 0, 0.5 with df = 0.5: rho*|f|*df/sigma^2 = 25.
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.0, horizon=1.0)
+    with pytest.warns(RuntimeWarning, match="Peclet number 25 ") as record:
+        solve_nonstationary(params, Band(-1.0, 1.0, -1.0, 1.0), GridSpec(5, 10, 0.5))
+    assert len(record) == 1
+    assert record[0].filename == __file__
+
+
+def test_reference_grid_is_warning_free(base_params, calibrated):
+    _, band = calibrated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_nonstationary(base_params, band, GridSpec(401, 10, 0.5))
+
+
+def test_convergence_order_solves_the_base_grid_once(base_params, calibrated, monkeypatch):
+    from targetzone import pde
+
+    grids = []
+
+    def counting_solve(params, band, grid):
+        grids.append((grid.nf, grid.nt))
+        return solve_nonstationary(params, band, grid)
+
+    monkeypatch.setattr(pde, "solve_nonstationary", counting_solve)
+    _, band = calibrated
+    convergence_order(base_params, band, GridSpec(51, 200, 0.5))
+    assert grids == [(51, 200), (101, 200), (201, 200), (51, 400), (51, 800)]
 
 
 def test_band_validation():

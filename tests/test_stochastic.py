@@ -138,6 +138,19 @@ def test_path_spec_validation():
         PathSpec(0.0, 1e-3, 0, 1)
     with pytest.raises(ParameterError, match="seed"):
         PathSpec(0.0, 1e-3, 10, -1)
+    assert PathSpec(0.0, 1e-3, 10, 2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    ("dt", "seed", "key"),
+    [(0.0, 1, "dt"), (float("nan"), 1, "dt"), (1e-3, 2**64, "seed"), (1e-3, 2**128, "seed")],
+)
+def test_path_spec_shares_the_monte_carlo_rules(dt, seed, key):
+    # A seed beyond the uint64 range used to reach np.random.Philox and
+    # escape as an untyped ValueError.
+    with pytest.raises(ParameterError) as err:
+        PathSpec(0.0, dt, 10, seed)
+    assert err.value.key == key
 
 
 # ---------------------------------------------------------------------------
