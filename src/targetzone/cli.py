@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,15 +44,21 @@ def _fmt(value) -> str:
 def write_csv(
     path: str | Path,
     header: Sequence[str],
-    rows: Iterable[Sequence],
+    chunks: Iterable[str],
     comments: Sequence[str] = (),
 ) -> None:
+    """Write comment lines, the header and pre-formatted text chunks."""
     with open(path, "w", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _csv_lines(rows: Iterable[Sequence]) -> Iterator[str]:
+    for row in rows:
+        yield ",".join(_fmt(x) for x in row) + "\n"
 
 
 def _echo(pairs: Iterable[tuple[str, object]]) -> None:
@@ -173,22 +179,24 @@ def cmd_simulate(config: RunConfig) -> int:
         write_csv(
             config.output_path,
             ["f0", "t", "n_paths", "dt", "seed", "mean", "std_error"],
-            [[f0, t, est.n_paths, config.mc.dt, est.seed, est.mean, est.std_error]],
+            _csv_lines([[f0, t, est.n_paths, config.mc.dt, est.seed, est.mean, est.std_error]]),
         )
         print(f"  wrote {config.output_path}")
     return 0
 
 
+def _surface_lines(surface: Surface) -> Iterator[str]:
+    # The f column is formatted once into line tails ",<f_i>,%.12g\n"; each
+    # time step joins them behind its own formatted t and fills the e column
+    # with one %, so one step's block is the most text held at a time.
+    tails = [f",{_fmt(f)},%.12g\n" for f in surface.f_axis.tolist()]
+    for t, values in zip(surface.t_axis.tolist(), surface.values):
+        t_text = _fmt(t)
+        yield (t_text + t_text.join(tails)) % tuple(values.tolist())
+
+
 def _write_surface(path: str | Path, surface: Surface) -> None:
-    f_axis = surface.f_axis.tolist()
-
-    def rows():
-        # One time step at a time: whole-surface lists would multiply peak memory.
-        for t, values in zip(surface.t_axis.tolist(), surface.values):
-            for f, e in zip(f_axis, values.tolist()):
-                yield (t, f, e)
-
-    write_csv(path, ["t", "f", "e"], rows())
+    write_csv(path, ["t", "f", "e"], _surface_lines(surface))
 
 
 def cmd_figure(which: int, config: RunConfig) -> int:
@@ -206,12 +214,12 @@ def cmd_figure(which: int, config: RunConfig) -> int:
         for fraction in _SECTION_FRACTIONS:
             section = slice_at(surface, fraction * config.params.horizon)
             rows.extend((section.t, float(f), float(e)) for f, e in zip(section.f, section.e))
-        write_csv(out, ["t", "f", "e"], rows)
+        write_csv(out, ["t", "f", "e"], _csv_lines(rows))
         written = [out]
     elif which == 3:
         surface, _ = _solve(config)
         paths = boundary_paths(surface)
-        write_csv(out, ["t", "e_lower", "e_upper"], paths.rows())
+        write_csv(out, ["t", "e_lower", "e_upper"], _csv_lines(paths.rows()))
         written = [out]
     elif which == 4:
         written = _write_fig4(out, config)
@@ -236,7 +244,7 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
         write_csv(
             path,
             ["f", "e"],
-            [(float(f), model.value(float(f))) for f in f_grid],
+            _csv_lines((float(f), model.value(float(f))) for f in f_grid),
             comments=[f"f_bar={_fmt(model.band.f_hi)}"],
         )
         written.append(str(path))

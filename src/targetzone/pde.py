@@ -208,30 +208,26 @@ def convergence_order(params: ModelParams, band: Band, base: GridSpec) -> tuple[
     t_idx = np.array([round(fr * base.nt) for fr in _PROBE_T_FRACTIONS], dtype=int)
     f_idx = np.array([round(fr * (base.nf - 1)) for fr in _PROBE_F_FRACTIONS], dtype=int)
 
-    def order_from(surfaces, idx_scales) -> float:
-        probes = [
-            _probe_values(s, t_idx * kt, f_idx * kf) for s, (kt, kf) in zip(surfaces, idx_scales)
-        ]
-        d1 = np.sqrt(np.mean((probes[0] - probes[1]) ** 2))
-        d2 = np.sqrt(np.mean((probes[1] - probes[2]) ** 2))
+    def probes(nf: int, nt: int, kt: int, kf: int) -> np.ndarray:
+        # Only the probe vector outlives the call, not the refined surface.
+        surface = solve_nonstationary(params, band, GridSpec(nf, nt, base.theta))
+        return _probe_values(surface, t_idx * kt, f_idx * kf)
+
+    def order_from(ladder: list[np.ndarray]) -> float:
+        d1 = np.sqrt(np.mean((ladder[0] - ladder[1]) ** 2))
+        d2 = np.sqrt(np.mean((ladder[1] - ladder[2]) ** 2))
         if not d2 < d1:
             raise InstabilityError(
                 f"refinement not monotone at probes: coarse-mid {d1:.3e}, mid-fine {d2:.3e}; "
-                f"probe values {[p.tolist() for p in probes]}"
+                f"probe values {[p.tolist() for p in ladder]}"
             )
         return float(np.log2(d1 / d2))
 
-    coarse = solve_nonstationary(params, band, base)
-    spatial = [coarse] + [
-        solve_nonstationary(params, band, GridSpec(nf, base.nt, base.theta))
-        for nf in (2 * base.nf - 1, 4 * base.nf - 3)
-    ]
-    order_f = order_from(spatial, [(1, 1), (1, 2), (1, 4)])
-
-    temporal = [coarse] + [
-        solve_nonstationary(params, band, GridSpec(base.nf, nt, base.theta))
-        for nt in (2 * base.nt, 4 * base.nt)
-    ]
-    order_t = order_from(temporal, [(1, 1), (2, 1), (4, 1)])
-
+    coarse = probes(base.nf, base.nt, 1, 1)
+    order_f = order_from(
+        [coarse, probes(2 * base.nf - 1, base.nt, 1, 2), probes(4 * base.nf - 3, base.nt, 1, 4)]
+    )
+    order_t = order_from(
+        [coarse, probes(base.nf, 2 * base.nt, 2, 1), probes(base.nf, 4 * base.nt, 4, 1)]
+    )
     return order_f, order_t

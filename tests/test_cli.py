@@ -3,13 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from targetzone.cli import main
+from targetzone.cli import _fmt, _write_surface, main
+from targetzone.pde import Surface
 
 from reference_values import BM_F_BAR, OU_C2, OU_F_BAR
 
 # Small-but-honest grid/path settings so the CLI suite stays fast.
 FAST = ["--nf", "81", "--nt", "300"]
 FAST_MC = ["--paths", "2000", "--dt", "0.01"]
+
+# SHA-256 of the surface CSV at `--nf 41 --nt 300` and the default parameters.
+PINNED_GRID = ["--nf", "41", "--nt", "300"]
+PINNED_SURFACE_SHA256 = "4745c9cadde767b7235e82a4b122b9a86aa2d5b3f1b9ab6e34b39231f394b587"
 
 
 def _read_csv(path):
@@ -88,9 +93,27 @@ def test_solve_surface_bytes_are_pinned(tmp_path):
     # Pins the solver to the last bit, not only run against run: any change
     # of the time stepping that moves one ulp changes this digest.
     out_path = tmp_path / "surface.csv"
-    assert main(["solve", "--nf", "41", "--nt", "300", "--out", str(out_path)]) == 0
+    assert main(["solve", *PINNED_GRID, "--out", str(out_path)]) == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == "4745c9cadde767b7235e82a4b122b9a86aa2d5b3f1b9ab6e34b39231f394b587"
+    assert digest == PINNED_SURFACE_SHA256
+
+
+def test_surface_writer_matches_row_formatter_on_awkward_floats(tmp_path):
+    awkward = [-0.0, 0.0, 5e-324, 1e22, 0.1 + 0.2, 3.0, -1.5e-7, 999999999999.5, 1e-5, 1 / 3]
+    t_axis = np.array([0.0, 0.1 + 0.2, 1e22])
+    f_axis = np.array([-1.5e-7, -0.0, 5e-324, 1 / 3])
+    values = np.resize(np.array(awkward), (3, 4))
+    values[2, 1:] = (np.inf, -np.inf, np.nan)
+    surface = Surface(t_axis, f_axis, values)
+
+    out_path = tmp_path / "surface.csv"
+    _write_surface(out_path, surface)
+    expected = "t,f,e\n" + "".join(
+        ",".join(_fmt(x) for x in (t, f, e)) + "\n"
+        for t, row in zip(t_axis.tolist(), values.tolist())
+        for f, e in zip(f_axis.tolist(), row)
+    )
+    assert out_path.read_bytes() == expected.encode()
 
 
 def test_solve_invalid_grid_fails_with_key(capsys):
@@ -181,6 +204,12 @@ def test_figure1_long_format(tmp_path, capsys):
     _, header, rows = _read_csv(out)
     assert header == ["t", "f", "e"]
     assert rows.shape == (31 * 21, 3)
+
+
+def test_figure1_writes_the_solve_surface_bytes(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert main(["figure", "--which", "1", *PINNED_GRID, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SURFACE_SHA256
 
 
 def test_figure2_sections(tmp_path, capsys):

@@ -230,6 +230,26 @@ def test_convergence_order_solves_the_base_grid_once(base_params, calibrated, mo
     assert grids == [(51, 200), (101, 200), (201, 200), (51, 400), (51, 800)]
 
 
+def test_non_monotone_refinement_lists_the_three_probe_vectors(base_params, calibrated, monkeypatch):
+    from targetzone import pde
+
+    levels = iter([0.0, 1.0, 0.0])
+
+    def flat_solve(params, band, grid):
+        # Coarse 0, mid 1, fine 0: the mid-fine gap equals the coarse-mid gap.
+        return pde.Surface(
+            np.linspace(0.0, params.horizon, grid.nt + 1),
+            np.linspace(band.f_lo, band.f_hi, grid.nf),
+            np.full((grid.nt + 1, grid.nf), next(levels)),
+        )
+
+    monkeypatch.setattr(pde, "solve_nonstationary", flat_solve)
+    _, band = calibrated
+    with pytest.raises(InstabilityError, match="not monotone") as excinfo:
+        convergence_order(base_params, band, GridSpec(51, 200, 0.5))
+    assert str([[0.0] * 9, [1.0] * 9, [0.0] * 9]) in str(excinfo.value)
+
+
 def test_band_validation():
     from targetzone import Band
 
