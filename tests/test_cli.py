@@ -176,6 +176,17 @@ def test_simulate_seed_beyond_uint64_fails_with_key(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "key"), [("--t", "nan", "t"), ("--t", "inf", "t"), ("--dt", "inf", "dt")]
+)
+def test_simulate_non_finite_horizon_or_step_fails_with_key(capsys, flag, value, key):
+    # --t nan and --t inf used to escape as a ValueError or OverflowError traceback.
+    assert main(["simulate", "--paths", "1000", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert "Traceback" not in err
+
+
 def test_simulate_f0_outside_band_fails(capsys):
     assert main(["simulate", *FAST_MC, "--f0", "0.5"]) == 1
     assert "f0" in capsys.readouterr().err

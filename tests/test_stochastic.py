@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from targetzone import stochastic
 from targetzone import (
     Band,
     GridSpec,
@@ -153,9 +155,63 @@ def test_path_spec_shares_the_monte_carlo_rules(dt, seed, key):
     assert err.value.key == key
 
 
+def test_infinite_path_step_raises_with_key(base_params, calibrated):
+    # An infinite dt used to pass the dt > 0 check and give an all-NaN path.
+    with pytest.raises(ParameterError) as err:
+        simulate_regulated_ou(base_params, calibrated[1], PathSpec(0.0, math.inf, 10, 1))
+    assert err.value.key == "dt"
+
+
 # ---------------------------------------------------------------------------
 # Feynman-Kac estimates
 # ---------------------------------------------------------------------------
+
+# Two full Philox blocks and a partial third, plain and antithetic, at
+# (t, antithetic, n_paths, seed): the estimates of the full-block draw that
+# the chunked pipeline must reproduce to the last bit. t = 0.2 spans three
+# full noise chunks of 64 steps and a partial fourth.
+MULTI_BLOCK = {
+    (0.05, False, 2 * 8192 + 300, 11): ("0.0007121281818135429", "1.602495129960304e-06"),
+    (0.05, True, 2 * (8192 + 150), 12): ("0.0007137433963129811", "1.588171246693452e-06"),
+    (0.2, False, 2 * 8192 + 300, 13): ("0.0024794079882772394", "1.0556780321587538e-05"),
+    (0.2, True, 2 * (8192 + 150), 14): ("0.002484237353943728", "1.0480625119575518e-05"),
+}
+
+
+def _multi_block_estimate(params, band, t, antithetic, n_paths, seed):
+    return feynman_kac_estimate(params, band, 0.5 * band.f_hi, t, n_paths, 1e-3, seed, antithetic)
+
+
+@pytest.mark.parametrize(("case", "pinned"), MULTI_BLOCK.items())
+def test_multi_block_estimates_are_pinned(base_params, calibrated, case, pinned):
+    est = _multi_block_estimate(base_params, calibrated[1], *case)
+    assert (repr(est.mean), repr(est.std_error)) == pinned
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("case", list(MULTI_BLOCK))
+def test_estimate_does_not_depend_on_the_cpu_count(
+    base_params, calibrated, monkeypatch, case, cpus
+):
+    # One CPU runs one block at a time; three run the three blocks as one group.
+    default = _multi_block_estimate(base_params, calibrated[1], *case)
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
+    est = _multi_block_estimate(base_params, calibrated[1], *case)
+    assert (est.mean, est.std_error) == (default.mean, default.std_error)
+
+
+def test_noise_memory_does_not_grow_with_the_horizon(base_params, calibrated):
+    # A full-block draw of 1000 steps held about 130 MB of noise.
+    _, band = calibrated
+    tracemalloc.start()
+    try:
+        feynman_kac_estimate(base_params, band, 0.5 * band.f_hi, 1.0, 16384, 1e-3, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 
 def test_zero_horizon_estimate(base_params, calibrated):
     _, band = calibrated
@@ -222,6 +278,23 @@ def test_estimate_validation(base_params, calibrated):
         feynman_kac_estimate(base_params, band, 0.0, -1.0, 1000, 1e-3, seed=1)
     with pytest.raises(ParameterError, match="even"):
         feynman_kac_estimate(base_params, band, 0.0, 1.0, 1001, 1e-3, seed=1, antithetic=True)
+
+
+@pytest.mark.parametrize(
+    ("t", "dt", "key"),
+    [
+        (float("nan"), 1e-3, "t"),
+        (float("inf"), 1e-3, "t"),
+        (1.0, float("inf"), "dt"),
+        (1.0, float("nan"), "dt"),
+    ],
+)
+def test_non_finite_horizon_or_step_raises_with_key(base_params, calibrated, t, dt, key):
+    # A NaN t used to reach round() as an untyped ValueError, an infinite one
+    # an OverflowError.
+    with pytest.raises(ParameterError) as err:
+        feynman_kac_estimate(base_params, calibrated[1], 0.0, t, 1000, dt, seed=1)
+    assert err.value.key == key
 
 
 def test_antithetic_default_only_at_center(base_params, calibrated):
