@@ -135,7 +135,7 @@ def _solve(config: RunConfig) -> tuple[Surface, _Calibrated]:
 def cmd_solve(config: RunConfig) -> int:
     surface, model = _solve(config)
     final = surface.values[-1]
-    gap = float(np.max(np.abs(final - np.array([model.value(f) for f in surface.f_axis]))))
+    gap = float(np.max(np.abs(final - np.array([model.value(f) for f in surface.f_axis.tolist()]))))
     print("targetzone solve")
     _echo(_param_pairs(config))
     _echo(

@@ -8,6 +8,7 @@ Unknown keys are errors, never ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -83,10 +84,11 @@ def _convert(key: str, raw: object):
 
 def _validated(settings: dict[str, object]) -> RunConfig:
     # e_bar and rho_list belong to no domain type, so they are checked here.
-    if not settings["e_bar"] > 0:
-        raise ConfigError("e_bar", f"must be positive, got {settings['e_bar']}")
-    if not settings["rho_list"] or any(r <= 0 for r in settings["rho_list"]):
-        raise ConfigError("rho_list", f"needs positive entries, got {settings['rho_list']}")
+    if not (settings["e_bar"] > 0 and math.isfinite(settings["e_bar"])):
+        raise ConfigError("e_bar", f"must be positive and finite, got {settings['e_bar']}")
+    rho_list = settings["rho_list"]
+    if not rho_list or not all(r > 0 and math.isfinite(r) for r in rho_list):
+        raise ConfigError("rho_list", f"needs positive finite entries, got {rho_list}")
 
     try:
         params = ModelParams(

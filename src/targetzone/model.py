@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -25,6 +26,10 @@ class ModelParams:
     horizon: float = 3.0
 
     def __post_init__(self):
+        for key in ("alpha", "rho", "sigma", "mu", "horizon"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ParameterError(f"{key} must be finite, got {value}", key)
         if not self.alpha > 0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}", "alpha")
         if not self.sigma > 0:

@@ -18,7 +18,9 @@ damped Newton with the analytic Jacobian. `calibrate_bm` provides the
 rho -> 0 (regulated Brownian motion) reference in closed form.
 
 Value, slope and curvature at a point all come from one jet, which evaluates
-the six Kummer values M(a_i + k, b_i + k, z), k = 0, 1, 2, once. Newton
+the Kummer values M(a_i + k, b_i + k, z), k = 0, 1, 2, once: three of them
+(the odd family) when c1 = 0, as in every symmetric calibration, and six
+otherwise. The series run on Python floats, not numpy scalars. Newton
 evaluates one jet per trial point, and the jet of an accepted trial point is
 also the next Jacobian, so no point is evaluated twice.
 """
@@ -60,33 +62,43 @@ class _Jet(NamedTuple):
 def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     """Evaluate the stationary solution and its first two df-derivatives at f.
 
-    The six Kummer values M(a, b, z), M(a+1, b+1, z) and M(a+2, b+2, z) of
-    both homogeneous terms are computed once; the derivatives follow from
+    The Kummer values M(a, b, z), M(a+1, b+1, z) and M(a+2, b+2, z) of each
+    homogeneous term are computed once; the derivatives follow from
     dM(a, b, z)/dz = (a/b) M(a+1, b+1, z) and the chain rule through
     z(f) = rho*(mu-f)^2/sigma^2.
+
+    When c1 = 0, as calibration always sets it, the even term is not
+    evaluated and stands as 0.0. Wherever it is finite that gives the same
+    bits: its value and curvature are positive, so c1 times either is the
+    signed zero c1*0.0 is, and its slope is summed with the non-zero
+    free-float slope.
     """
     _require_mean_reverting(params)
     rho, sigma = params.rho, params.sigma
-    a1 = 1.0 / (2.0 * params.alpha * rho)
-    a2 = (1.0 + params.alpha * rho) / (2.0 * params.alpha * rho)
     u = params.mu - f
     z = rho * u * u / sigma**2
-    m1 = kummer_m(KummerArgs(a1, 0.5, z))
-    m2 = kummer_m(KummerArgs(a2, 1.5, z))
-    m1p = (a1 / 0.5) * kummer_m(KummerArgs(a1 + 1.0, 1.5, z))
-    m2p = (a2 / 1.5) * kummer_m(KummerArgs(a2 + 1.0, 2.5, z))
-    m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(KummerArgs(a1 + 2.0, 2.5, z))
-    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(KummerArgs(a2 + 2.0, 3.5, z))
 
+    if coefs.c1 == 0:
+        h1 = h1p = h1pp = 0.0
+    else:
+        a1 = 1.0 / (2.0 * params.alpha * rho)
+        h1 = kummer_m(KummerArgs(a1, 0.5, z))
+        m1p = (a1 / 0.5) * kummer_m(KummerArgs(a1 + 1.0, 1.5, z))
+        m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(KummerArgs(a1 + 2.0, 2.5, z))
+        h1p = -(2.0 * rho * u / sigma**2) * m1p
+        h1pp = (4.0 * rho**2 * u * u / sigma**4) * m1pp + (2.0 * rho / sigma**2) * m1p
+
+    a2 = (1.0 + params.alpha * rho) / (2.0 * params.alpha * rho)
+    m2 = kummer_m(KummerArgs(a2, 1.5, z))
+    m2p = (a2 / 1.5) * kummer_m(KummerArgs(a2 + 1.0, 2.5, z))
+    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(KummerArgs(a2 + 2.0, 3.5, z))
     h2 = (math.sqrt(rho) * u / sigma) * m2
-    h1p = -(2.0 * rho * u / sigma**2) * m1p
     h2p = -((math.sqrt(rho) / sigma) * m2 + (2.0 * rho**1.5 * u * u / sigma**3) * m2p)
-    h1pp = (4.0 * rho**2 * u * u / sigma**4) * m1pp + (2.0 * rho / sigma**2) * m1p
     h2pp = (6.0 * rho**1.5 * u / sigma**3) * m2p + (4.0 * rho**2.5 * u**3 / sigma**5) * m2pp
 
     particular = (params.alpha * rho * params.mu + f) / (1.0 + params.alpha * rho)
     return _Jet(
-        value=coefs.c1 * m1 + coefs.c2 * h2 + particular,
+        value=coefs.c1 * h1 + coefs.c2 * h2 + particular,
         slope=coefs.c1 * h1p + coefs.c2 * h2p + 1.0 / (1.0 + params.alpha * rho),
         curvature=coefs.c1 * h1pp + coefs.c2 * h2pp,
         h2=h2,
@@ -123,7 +135,7 @@ def stationary_ode_residual(
     _require_mean_reverting(params)
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     out = np.empty(len(f_grid))
-    for i, f in enumerate(f_grid):
+    for i, f in enumerate(np.asarray(f_grid, dtype=float).tolist()):
         e, ep, epp, _, _ = _jet(params, coefs, f)
         out[i] = 0.5 * a * s2 * epp - a * r * (f - params.mu) * ep - e + f
     return out
@@ -146,14 +158,23 @@ def calibrate_symmetric(
     if not e_bar > 0:
         raise ParameterError(f"e_bar must be positive, got {e_bar}")
 
-    def trial(c2: float, f_bar: float) -> tuple[_Jet, np.ndarray]:
-        jet = _jet(params, StationaryCoefficients(0.0, c2), f_bar)
-        return jet, np.array([jet.value - e_bar, jet.slope])
+    def trial(c2: float, f_bar: float) -> tuple[_Jet | None, tuple[float, float], float]:
+        """Jet, residuals and residual norm at one point; a NaN norm rejects it."""
+        try:
+            jet = _jet(params, StationaryCoefficients(0.0, c2), f_bar)
+        except OverflowError:
+            # A float power overflowed where a numpy scalar would give inf.
+            return None, (math.nan, math.nan), math.nan
+        res = (jet.value - e_bar, jet.slope)
+        return jet, res, max(abs(res[0]), abs(res[1]))
 
     c2 = 0.0
     f_bar = (1.0 + params.alpha * params.rho) * e_bar
-    jet, res = trial(c2, f_bar)
-    norm = np.max(np.abs(res))
+    jet, res, norm = trial(c2, f_bar)
+    if jet is None:
+        raise CalibrationError(
+            f"the stationary solution overflows at the initial guess f_bar={f_bar}", np.array(res)
+        )
 
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _NEWTON_TOL:
@@ -164,17 +185,18 @@ def calibrate_symmetric(
         # The current point's jet already holds the Jacobian.
         jac = np.array([[jet.h2, jet.slope], [jet.h2p, jet.curvature]])
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(jac, [-res[0], -res[1]]).tolist()
         except np.linalg.LinAlgError as exc:
-            raise CalibrationError(f"singular Jacobian at (c2={c2}, f_bar={f_bar})", res) from exc
+            raise CalibrationError(
+                f"singular Jacobian at (c2={c2}, f_bar={f_bar})", np.array(res)
+            ) from exc
 
         # Damping: halve until the residual norm drops and f_bar stays positive.
         lam = 1.0
         while True:
             c2_new, f_new = c2 + lam * step[0], f_bar + lam * step[1]
             if f_new > 0:
-                jet_new, res_new = trial(c2_new, f_new)
-                norm_new = np.max(np.abs(res_new))
+                jet_new, res_new, norm_new = trial(c2_new, f_new)
                 if norm_new < norm:
                     break
             lam *= 0.5
@@ -182,7 +204,7 @@ def calibrate_symmetric(
                 raise CalibrationError(
                     "Newton stalled (no descent direction); "
                     f"e_bar={e_bar} may admit no smooth-pasting solution",
-                    res,
+                    np.array(res),
                 )
         c2, f_bar, jet, res, norm = c2_new, f_new, jet_new, res_new, norm_new
 
@@ -190,7 +212,7 @@ def calibrate_symmetric(
         f"calibration did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(residuals {res[0]:.3e}, {res[1]:.3e}); e_bar={e_bar} may admit no "
         "smooth-pasting solution",
-        res,
+        np.array(res),
     )
 
 

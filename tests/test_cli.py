@@ -71,6 +71,27 @@ def test_missing_config_file_fails(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "key"),
+    [
+        (["calibrate", "--rho", "nan"], "rho"),
+        (["calibrate", "--alpha", "inf"], "alpha"),
+        (["calibrate", "--sigma", "inf"], "sigma"),
+        (["calibrate", "--mu", "nan"], "mu"),
+        (["calibrate", "--e-bar", "inf"], "e_bar"),
+        (["solve", "--horizon", "inf"], "horizon"),
+        (["figure", "--which", "4", "--rho-list", "nan"], "rho_list"),
+    ],
+)
+def test_non_finite_model_setting_fails_with_key(tmp_path, capsys, argv, key):
+    # These used to fail later with an error that named no key: Kummer
+    # non-convergence, a singular Jacobian, a stalled Newton or a PDE blow-up.
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

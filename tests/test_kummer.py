@@ -111,3 +111,11 @@ def test_cancellation_raises_instead_of_a_wrong_value():
     # peaks near 7e24 and its float sum is -4.8e8.
     with pytest.raises(ConvergenceError, match="cancels"):
         kummer_m(KummerArgs(166.7, 0.5, -5.0))
+
+
+@pytest.mark.parametrize("a,b,z", [(1.0 / 6.0, 0.5, 0.09), (2.99, 1.5, 40.0), (0.7, 1.9, -2.3)])
+def test_numpy_scalar_arguments_give_the_same_float(a, b, z):
+    plain = kummer_m(KummerArgs(a, b, z))
+    from_numpy = kummer_m(KummerArgs(np.float64(a), np.float64(b), np.float64(z)))
+    assert type(from_numpy) is float
+    assert from_numpy.hex() == plain.hex()

@@ -99,6 +99,60 @@ def test_rho_zero_directs_to_bm(base_params):
         eval_stationary(params, ZERO, 0.01)
 
 
+# (value, slope, curvature) as float.hex at f, recorded before the jet
+# skipped the even family for c1 = 0 and moved to Python floats.
+PINNED_JETS = {
+    "c1 = 0": (
+        ModelParams(alpha=3.0, rho=1.0, sigma=0.1),
+        StationaryCoefficients(0.0, 0.009381598529684147),
+        {
+            -0.07: ("-0x1.2eac96e8799bdp-7", "0x1.32b9c418ec9f6p-4", "0x1.8051c83de379bp+1"),
+            0.0: ("0x0.0p+0", "0x1.3fdd679a76e26p-3", "0x0.0p+0"),
+            0.02: ("0x1.94fef9297c67dp-9", "0x1.3562fc8e6b20fp-3", "-0x1.0bcff28ec7240p-1"),
+            0.05: ("0x1.da96f29d44de7p-8", "0x1.ec28a94b0f776p-4", "-0x1.a6249c5821bb8p+0"),
+        },
+    ),
+    "c1 != 0": (
+        ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03),
+        StationaryCoefficients(0.4, -0.2),
+        {
+            -0.07: ("0x1.771fd9bcfd4d2p-2", "-0x1.8612e407fbc48p-1", "0x1.3620c829eb5b4p+5"),
+            0.0: ("0x1.8a8800512a2d5p-2", "0x1.2128bd4b720a4p+0", "0x1.6fda31cbe83acp+4"),
+            0.02: ("0x1.a67f0dc7a95f7p-2", "0x1.9c1539f5c24f8p+0", "0x1.979946ed5b9f0p+4"),
+            0.05: ("0x1.e4d77cdf88a1ap-2", "0x1.3f88a28068510p+1", "0x1.17a5385154d68p+5"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64])
+@pytest.mark.parametrize("case", sorted(PINNED_JETS))
+def test_evaluator_bits_are_pinned(case, scalar):
+    params, coefs, expected = PINNED_JETS[case]
+    evaluators = (eval_stationary, eval_stationary_slope, eval_stationary_curvature)
+    for f, hexes in expected.items():
+        got = tuple(float(ev(params, coefs, scalar(f))).hex() for ev in evaluators)
+        assert got == hexes, f"f = {f}"
+
+
+@pytest.mark.parametrize(("c1", "calls"), [(0.0, 3), (-0.0, 3), (0.4, 6)])
+def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c1, calls):
+    # The even family M(a1, .) is multiplied by c1, which symmetric
+    # calibration always sets to 0.
+    import targetzone.stationary as stationary_mod
+
+    seen = []
+
+    def counting_kummer_m(args, *rest, **kwargs):
+        seen.append(args)
+        return kummer_m(args, *rest, **kwargs)
+
+    monkeypatch.setattr(stationary_mod, "kummer_m", counting_kummer_m)
+    params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03)
+    eval_stationary_curvature(params, StationaryCoefficients(c1, -0.2), 0.05)
+    assert len(seen) == calls
+
+
 # ---------------------------------------------------------------------------
 # ODE residual
 # ---------------------------------------------------------------------------
@@ -126,6 +180,26 @@ def test_residual_invariant_under_coefficient_shift(base_params, calibrated, ban
 # ---------------------------------------------------------------------------
 # symmetric calibration
 # ---------------------------------------------------------------------------
+
+# (alpha, rho, sigma, e_bar) -> c2 and f_bar as float.hex, recorded before the
+# jet skipped the even family and moved to Python floats. z at the root runs
+# from 2e-5 to 246.
+PINNED_CALIBRATIONS = [
+    ((0.5, 0.0001, 0.3, 0.03), "0x1.4775dae951054p+4", "0x1.1e09cdef4c2e2p-3"),  # z = 2.17e-05
+    ((0.5, 0.05, 0.03, 0.001), "0x1.bf15243820756p-4", "0x1.2d51c2fd8198dp-7"),  # z = 0.0047
+    ((20.0, 1.0, 0.3, 0.001), "0x1.6ff7f3a0635a3p-7", "0x1.26b4c16878004p-3"),  # z = 0.23
+    ((0.5, 5.0, 0.01, 0.001), "0x1.add7e82df1932p-13", "0x1.645a34ab59be6p-8"),  # z = 1.48
+    ((20.0, 1.0, 0.1, 0.03), "0x1.4b58b96eb5711p-67", "0x1.469f1fd95cb00p-1"),  # z = 40.7
+    ((0.5, 5.0, 0.1, 0.2), "0x1.b43999bf45318p-364", "0x1.67217e5b2df7fp-1"),  # z = 246
+]
+
+
+@pytest.mark.parametrize(("point", "c2_hex", "f_bar_hex"), PINNED_CALIBRATIONS)
+def test_calibration_bits_are_pinned_across_the_cube(point, c2_hex, f_bar_hex):
+    alpha, rho, sigma, e_bar = point
+    coefs, band = calibrate_symmetric(ModelParams(alpha, rho, sigma), e_bar)
+    assert (float(coefs.c2).hex(), float(band.f_hi).hex()) == (c2_hex, f_bar_hex)
+
 
 def test_calibration_matches_bisection_oracle(calibrated):
     # Frozen oracle: eliminate c2 from the slope equation, bisect the value
@@ -300,3 +374,39 @@ def test_calibration_error_carries_residuals(monkeypatch):
     with pytest.raises(CalibrationError) as excinfo:
         calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 0.01)
     assert excinfo.value.residuals is not None
+
+
+def test_overflowing_trial_point_is_a_rejected_step(monkeypatch):
+    # A float power raises OverflowError where a numpy scalar gave inf. Newton
+    # must reject such a trial point, as it rejects a NaN residual, and go on.
+    import targetzone.stationary as stationary_mod
+
+    real_jet = stationary_mod._jet
+    overflowed = []
+
+    def jet(params, coefs, f):
+        if f > 0.09:  # the reference run's second Newton step lands at 0.0915
+            overflowed.append(f)
+            raise OverflowError("simulated")
+        return real_jet(params, coefs, f)
+
+    monkeypatch.setattr(stationary_mod, "_jet", jet)
+    coefs, band = calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 0.01)
+    assert overflowed
+    assert band.f_hi == pytest.approx(OU_F_BAR, rel=1e-12)
+    assert coefs.c2 == pytest.approx(OU_C2, rel=1e-10)
+
+
+def test_overflow_at_the_initial_guess_is_a_calibration_error():
+    # f_bar = 4e110 at the initial guess: (mu - f)**3 overflows a float.
+    with pytest.raises(CalibrationError, match="overflows"):
+        calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 1e110)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["alpha", "rho", "sigma", "mu", "horizon"])
+def test_non_finite_model_params_name_the_key(key, value):
+    settings = {"alpha": 3.0, "rho": 1.0, "sigma": 0.1, "mu": 0.0, "horizon": 3.0, key: value}
+    with pytest.raises(ParameterError) as excinfo:
+        ModelParams(**settings)
+    assert excinfo.value.key == key
