@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import SETTINGS, RunConfig, parse_config
-from .errors import ConfigError, TargetZoneError
+from .errors import ParameterError, TargetZoneError
 from .model import Band, ModelParams
 from .pde import Surface, boundary_paths, slice_at, solve_nonstationary
 from .stationary import (
@@ -99,8 +99,6 @@ def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
             [("model", "bm"), ("lambda", bm.lam), ("a_coef", bm.a_coef)],
             "bm",
         )
-    if params.mu != 0:
-        raise ConfigError("mu", "band calibration is implemented for the symmetric case mu = 0")
     coefs, band = calibrate_symmetric(params, e_bar)
     return _Calibrated(
         band,
@@ -224,7 +222,7 @@ def cmd_figure(which: int, config: RunConfig) -> int:
     elif which == 4:
         written = _write_fig4(out, config)
     else:
-        raise ConfigError("which", f"must be 1, 2, 3 or 4, got {which}")
+        raise ParameterError(f"must be 1, 2, 3 or 4, got {which}", "which")
 
     for path in written:
         print(f"  wrote {path}")
@@ -278,7 +276,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     if ns.config_path:
         path = Path(ns.config_path)
         if not path.is_file():
-            raise ConfigError("config", f"no such file: {path}")
+            raise ParameterError(f"no such file: {path}", "config")
         file_text = path.read_text()
     else:
         file_text = ""

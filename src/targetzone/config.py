@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .model import ModelParams
 from .pde import GridSpec
+from .stationary import check_e_bar
 from .stochastic import check_mc_settings
 
 
@@ -79,31 +80,27 @@ def _convert(key: str, raw: object):
     try:
         return SETTINGS[key][0](text)
     except ValueError as exc:
-        raise ConfigError(key, f"cannot parse {text!r}: {exc}") from None
+        raise ParameterError(f"cannot parse {text!r}: {exc}", key) from None
 
 
 def _validated(settings: dict[str, object]) -> RunConfig:
-    # e_bar and rho_list belong to no domain type, so they are checked here.
-    if not (settings["e_bar"] > 0 and math.isfinite(settings["e_bar"])):
-        raise ConfigError("e_bar", f"must be positive and finite, got {settings['e_bar']}")
+    check_e_bar(settings["e_bar"])
+    # rho_list belongs to no domain type, so it is checked here.
     rho_list = settings["rho_list"]
     if not rho_list or not all(r > 0 and math.isfinite(r) for r in rho_list):
-        raise ConfigError("rho_list", f"needs positive finite entries, got {rho_list}")
+        raise ParameterError(f"needs positive finite entries, got {rho_list}", "rho_list")
 
-    try:
-        params = ModelParams(
-            alpha=settings["alpha"],
-            rho=settings["rho"],
-            sigma=settings["sigma"],
-            mu=settings["mu"],
-            horizon=settings["horizon"],
-        )
-        grid = GridSpec(nf=settings["nf"], nt=settings["nt"], theta=settings["theta"])
-        check_mc_settings(
-            settings["f0"], settings["t"], settings["paths"], settings["dt"], settings["seed"]
-        )
-    except ParameterError as exc:
-        raise ConfigError(exc.key, str(exc)) from exc
+    params = ModelParams(
+        alpha=settings["alpha"],
+        rho=settings["rho"],
+        sigma=settings["sigma"],
+        mu=settings["mu"],
+        horizon=settings["horizon"],
+    )
+    grid = GridSpec(nf=settings["nf"], nt=settings["nt"], theta=settings["theta"])
+    check_mc_settings(
+        settings["f0"], settings["t"], settings["paths"], settings["dt"], settings["seed"]
+    )
 
     return RunConfig(
         params=params,
@@ -126,17 +123,17 @@ def parse_config(file_text: str, flag_overrides: Iterable[tuple[str, object]] = 
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {stripped!r}")
+            raise ParameterError(f"expected 'key = value', got {stripped!r}", f"line {lineno}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = _canonical(key)
         if key not in settings:
-            raise ConfigError(key, "unknown key")
+            raise ParameterError("unknown key", key)
         settings[key] = _convert(key, value)
 
     for key, value in flag_overrides:
         key = _canonical(key)
         if key not in settings:
-            raise ConfigError(key, "unknown key")
+            raise ParameterError("unknown key", key)
         settings[key] = _convert(key, value)
 
     return _validated(settings)

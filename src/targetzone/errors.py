@@ -6,19 +6,14 @@ class TargetZoneError(Exception):
 
 
 class ParameterError(TargetZoneError, ValueError):
-    """An argument violates a documented precondition; may name the offending key."""
+    """An argument or run setting is invalid; with a key the text reads "<key>: <message>"."""
 
     def __init__(self, message: str, key: str | None = None):
         self.key = key
-        super().__init__(message)
+        super().__init__(message if key is None else f"{key}: {message}")
 
 
-class ConfigError(TargetZoneError, ValueError):
-    """A configuration file or flag is invalid; carries the offending key."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
+ConfigError = ParameterError  # an alias: config-file and flag errors are parameter errors
 
 
 class ConvergenceError(TargetZoneError, RuntimeError):

@@ -6,8 +6,8 @@ relative stopping rule, summed on Python floats. The model's arguments
 small: over the benchmark's parameter cube it reaches 313 at calibrated band
 edges, where the series needs about 470 of its 500 terms, and 7.8e7 at
 Newton trial points. Beyond z of about 300 to 340 (depending on a) the cap
-is exceeded and the series raises; beyond about 550 to 780 the terms
-overflow and it returns inf. No large-|z| asymptotic branch is provided.
+is exceeded and beyond about 550 to 780 the terms overflow: both raise
+ConvergenceError. No large-|z| asymptotic branch is provided.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     not enough, or if cancellation between terms of mixed sign leaves a
     rounding error (about 2**-52 times the largest term) above ``tol``
     relative to the sum. Terms never change sign for a > 0, b > 0, z >= 0,
-    so there the cancellation check cannot fire.
+    so there the cancellation check cannot fire. An overflowed sum raises too.
     """
     _check_b(args.b)
     if tol <= 0:
@@ -77,6 +77,8 @@ def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
                         f"Kummer series for (a={a}, b={b}, z={z}) cancels beyond tol "
                         f"(largest term {largest:.3e}, sum {total:.3e})"
                     )
+                if not math.isfinite(total):
+                    raise ConvergenceError(f"Kummer series for (a={a}, b={b}, z={z}) overflows")
                 return total
         else:
             small_streak = 0

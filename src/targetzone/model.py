@@ -34,6 +34,8 @@ class ModelParams:
             raise ParameterError(f"alpha must be positive, got {self.alpha}", "alpha")
         if not self.sigma > 0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}", "sigma")
+        if not 0 < self.sigma * self.sigma < math.inf:  # the models divide by sigma**2
+            raise ParameterError(f"sigma*sigma over- or underflows at sigma={self.sigma}", "sigma")
         if self.rho < 0:
             raise ParameterError(f"rho must be non-negative, got {self.rho}", "rho")
         if not self.horizon > 0:

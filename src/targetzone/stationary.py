@@ -18,11 +18,11 @@ damped Newton with the analytic Jacobian. `calibrate_bm` provides the
 rho -> 0 (regulated Brownian motion) reference in closed form.
 
 Value, slope and curvature at a point all come from one jet, which evaluates
-the Kummer values M(a_i + k, b_i + k, z), k = 0, 1, 2, once: three of them
-(the odd family) when c1 = 0, as in every symmetric calibration, and six
-otherwise. The series run on Python floats, not numpy scalars. Newton
-evaluates one jet per trial point, and the jet of an accepted trial point is
-also the next Jacobian, so no point is evaluated twice.
+the Kummer values M(a_i + k, b_i + k, z), k = 0, 1, 2, once on Python floats:
+three of them (the odd family) when c1 = 0, as in every symmetric
+calibration, and six otherwise. Newton evaluates one jet per trial point, and
+an accepted point's jet is also the next Jacobian. A trial point whose jet
+overflows or whose Kummer series raises is rejected like a NaN residual.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import CalibrationError, ParameterError
+from .errors import CalibrationError, ConvergenceError, ParameterError
 from .kummer import KummerArgs, kummer_m
 from .model import Band, BmStationaryCoefficients, ModelParams, StationaryCoefficients
 
@@ -41,12 +41,20 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
 
+def check_e_bar(e_bar: float) -> None:
+    """The band half-width in the rate must be positive and finite."""
+    if not (e_bar > 0 and math.isfinite(e_bar)):
+        raise ParameterError(f"must be positive and finite, got {e_bar}", "e_bar")
+
+
 def _require_mean_reverting(params: ModelParams) -> None:
-    if params.rho == 0:
+    alpha_rho = params.alpha * params.rho
+    if not (alpha_rho > 0 and math.isfinite((1.0 + alpha_rho) / (2.0 * alpha_rho))):
         raise ParameterError(
-            "rho = 0 has no Kummer representation (a1 diverges); "
-            "use the Brownian-motion reference (calibrate_bm / eval_stationary_bm)"
+            f"a2 is not finite at alpha*rho={alpha_rho}; rho = 0 is the Brownian-motion case", "rho"
         )
+    if params.sigma < 1 and params.sigma**5 == 0:  # the jet's curvature divides by sigma**5
+        raise ParameterError(f"sigma**5 underflows to 0.0 at sigma={params.sigma}", "sigma")
 
 
 class _Jet(NamedTuple):
@@ -132,7 +140,6 @@ def stationary_ode_residual(
     solution family satisfies the stationary equation; the check guards the
     analytic-derivative plumbing rather than the calibration.
     """
-    _require_mean_reverting(params)
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     out = np.empty(len(f_grid))
     for i, f in enumerate(np.asarray(f_grid, dtype=float).tolist()):
@@ -152,18 +159,15 @@ def calibrate_symmetric(
     norm decreases (and f_bar stays positive). Initial guess: the free-float
     preimage f_bar = (1 + alpha*rho)*e_bar with c2 = 0.
     """
-    _require_mean_reverting(params)
     if params.mu != 0:
-        raise ParameterError("calibrate_symmetric requires mu = 0 (symmetric case)")
-    if not e_bar > 0:
-        raise ParameterError(f"e_bar must be positive, got {e_bar}")
+        raise ParameterError("band calibration is implemented for the symmetric case mu = 0", "mu")
+    check_e_bar(e_bar)
 
     def trial(c2: float, f_bar: float) -> tuple[_Jet | None, tuple[float, float], float]:
         """Jet, residuals and residual norm at one point; a NaN norm rejects it."""
         try:
             jet = _jet(params, StationaryCoefficients(0.0, c2), f_bar)
-        except OverflowError:
-            # A float power overflowed where a numpy scalar would give inf.
+        except (OverflowError, ConvergenceError):
             return None, (math.nan, math.nan), math.nan
         res = (jet.value - e_bar, jet.slope)
         return jet, res, max(abs(res[0]), abs(res[1]))
@@ -173,7 +177,9 @@ def calibrate_symmetric(
     jet, res, norm = trial(c2, f_bar)
     if jet is None:
         raise CalibrationError(
-            f"the stationary solution overflows at the initial guess f_bar={f_bar}", np.array(res)
+            f"the stationary solution overflows or its Kummer series fails at the initial guess "
+            f"f_bar={f_bar}",
+            np.array(res),
         )
 
     for _ in range(_NEWTON_MAX_ITER):
@@ -222,10 +228,8 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
     Smooth pasting fixes a = -1/(2l*cosh(l*f_bar)) and f_bar as the unique
     positive root of f_bar - tanh(l*f_bar)/l = e_bar, l = sqrt(2/(alpha*sigma^2)).
     """
-    if not (alpha > 0 and sigma > 0 and e_bar > 0):
-        raise ParameterError(
-            f"alpha, sigma, e_bar must all be positive, got ({alpha}, {sigma}, {e_bar})"
-        )
+    ModelParams(alpha, 0.0, sigma)  # checks alpha and sigma
+    check_e_bar(e_bar)
     lam = math.sqrt(2.0 / (alpha * sigma**2))
 
     def gap(f_bar: float) -> float:

@@ -127,7 +127,7 @@ def check_mc_settings(
 
 def _check_band_point(band: Band, f0: float) -> None:
     if not band.f_lo <= f0 <= band.f_hi:
-        raise ParameterError(f"f0={f0} outside the band [{band.f_lo}, {band.f_hi}]")
+        raise ParameterError(f"f0={f0} outside the band [{band.f_lo}, {band.f_hi}]", "f0")
 
 
 def simulate_regulated_ou(

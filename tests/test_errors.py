@@ -1,0 +1,89 @@
+"""The error contract: every bad input ends in a typed error that names its key."""
+
+import math
+
+import pytest
+
+from targetzone import (
+    ConfigError,
+    ConvergenceError,
+    ModelParams,
+    ParameterError,
+    StationaryCoefficients,
+    TargetZoneError,
+    calibrate_bm,
+    calibrate_symmetric,
+    eval_stationary,
+)
+from targetzone.cli import main
+
+REFERENCE = ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
+REFERENCE_COEFS = StationaryCoefficients(0.0, 0.0093)
+
+
+def test_config_error_is_parameter_error():
+    assert ConfigError is ParameterError
+
+
+def test_keyed_error_reads_key_colon_message():
+    err = ParameterError("must be positive", "sigma")
+    assert err.key == "sigma"
+    assert str(err) == "sigma: must be positive"
+    assert str(ParameterError("no key here")) == "no key here"
+
+
+# Each of these once ended in ZeroDivisionError, OverflowError, an unkeyed
+# error or a non-finite value.
+@pytest.mark.parametrize(
+    ("case", "error", "key"),
+    [
+        pytest.param(
+            lambda: calibrate_bm(math.inf, 0.1, 0.01), ParameterError, "alpha", id="bm-alpha-inf"
+        ),
+        pytest.param(
+            lambda: calibrate_bm(3.0, math.inf, 0.01), ParameterError, "sigma", id="bm-sigma-inf"
+        ),
+        pytest.param(
+            lambda: calibrate_bm(3.0, 1e-170, 0.01), ParameterError, "sigma", id="bm-sigma-tiny"
+        ),
+        pytest.param(
+            lambda: calibrate_symmetric(ModelParams(3.0, 1.0, 1e-70), 0.01),
+            ParameterError,
+            "sigma",
+            id="ou-sigma-tiny",
+        ),
+        pytest.param(
+            lambda: eval_stationary(REFERENCE, REFERENCE_COEFS, 10.0),
+            ConvergenceError,
+            None,
+            id="eval-f-10",
+        ),
+        pytest.param(
+            lambda: eval_stationary(REFERENCE, REFERENCE_COEFS, 1e103),
+            ConvergenceError,
+            None,
+            id="eval-f-1e103",
+        ),
+        pytest.param(["calibrate", "--sigma", "1e-170"], None, "sigma", id="cli-sigma-1e-170"),
+        pytest.param(["calibrate", "--sigma", "1e-70"], None, "sigma", id="cli-sigma-1e-70"),
+        pytest.param(["solve", "--rho", "0", "--sigma", "1e-170"], None, "sigma", id="cli-bm"),
+        pytest.param(
+            ["calibrate", "--alpha", "1e-200", "--rho", "1e-200"], None, "rho", id="cli-rho-tiny"
+        ),
+        pytest.param(
+            ["figure", "--which", "4", "--rho-list", "1e-320"], None, "rho", id="cli-rho-list"
+        ),
+        pytest.param(["simulate", "--f0", "1"], None, "f0", id="cli-f0-outside"),
+    ],
+)
+def test_bad_input_raises_a_typed_error(tmp_path, capsys, case, error, key):
+    if callable(case):
+        with pytest.raises(error) as excinfo:
+            case()
+        assert isinstance(excinfo.value, TargetZoneError)
+        assert getattr(excinfo.value, "key", None) == key
+    else:
+        assert main([*case, "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert "Traceback" not in err

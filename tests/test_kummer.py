@@ -119,3 +119,8 @@ def test_numpy_scalar_arguments_give_the_same_float(a, b, z):
     from_numpy = kummer_m(KummerArgs(np.float64(a), np.float64(b), np.float64(z)))
     assert type(from_numpy) is float
     assert from_numpy.hex() == plain.hex()
+
+
+def test_overflowing_sum_raises_instead_of_inf():
+    with pytest.raises(ConvergenceError, match="overflows"):
+        kummer_m(KummerArgs(3.0, 1.5, 800.0))

@@ -410,3 +410,13 @@ def test_non_finite_model_params_name_the_key(key, value):
     with pytest.raises(ParameterError) as excinfo:
         ModelParams(**settings)
     assert excinfo.value.key == key
+
+
+def test_kummer_failure_at_a_trial_point_is_a_rejected_step():
+    # Sweep point 7 of the benchmark design: the Kummer series at a Newton
+    # trial point needs more than 500 terms; its ConvergenceError used to escape.
+    params = ModelParams(44.520313677514466, 0.004508939050233481, 0.22659397028015218)
+    e_bar = 0.004867791702035497
+    coefs, band = calibrate_symmetric(params, e_bar)
+    assert abs(eval_stationary(params, coefs, band.f_hi) - e_bar) < 1e-10
+    assert abs(eval_stationary_slope(params, coefs, band.f_hi)) < 1e-10
