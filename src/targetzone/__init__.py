@@ -17,7 +17,7 @@ from .errors import (
     SingularSystemError,
     TargetZoneError,
 )
-from .kummer import KummerArgs, kummer_m, kummer_m_dz
+from .kummer import kummer_m, kummer_m_dz
 from .model import Band, BmStationaryCoefficients, ModelParams, StationaryCoefficients
 from .pde import (
     BoundaryPaths,
@@ -58,7 +58,6 @@ __all__ = [
     "ConvergenceError",
     "GridSpec",
     "InstabilityError",
-    "KummerArgs",
     "McConfig",
     "McEstimate",
     "ModelParams",

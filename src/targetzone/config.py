@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ParameterError
 from .model import ModelParams
@@ -69,10 +69,6 @@ class RunConfig:
     output_path: str | None
 
 
-def _canonical(key: str) -> str:
-    return key.strip().replace("-", "_")
-
-
 def _convert(key: str, raw: object):
     if not isinstance(raw, str):
         return raw
@@ -114,26 +110,25 @@ def _validated(settings: dict[str, object]) -> RunConfig:
     )
 
 
-def parse_config(file_text: str, flag_overrides: Iterable[tuple[str, object]] = ()) -> RunConfig:
-    """Resolve defaults, then the config file, then flag overrides (later wins)."""
-    settings = {key: default for key, (_, default) in SETTINGS.items()}
-
+def _setting_pairs(file_text: str, flag_overrides: Iterable) -> Iterator[tuple[str, object]]:
+    """(key, value) of each config-file line, then the flag overrides, read lazily."""
     for lineno, line in enumerate(file_text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ParameterError(f"expected 'key = value', got {stripped!r}", f"line {lineno}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        key = _canonical(key)
+        key, value = stripped.split("=", 1)
+        yield key, value
+    yield from flag_overrides
+
+
+def parse_config(file_text: str, flag_overrides: Iterable[tuple[str, object]] = ()) -> RunConfig:
+    """Resolve defaults, then the config file, then flag overrides (later wins)."""
+    settings = {key: default for key, (_, default) in SETTINGS.items()}
+    for key, value in _setting_pairs(file_text, flag_overrides):
+        key = key.strip().replace("-", "_")
         if key not in settings:
             raise ParameterError("unknown key", key)
         settings[key] = _convert(key, value)
-
-    for key, value in flag_overrides:
-        key = _canonical(key)
-        if key not in settings:
-            raise ParameterError("unknown key", key)
-        settings[key] = _convert(key, value)
-
     return _validated(settings)

@@ -1,19 +1,18 @@
 """Confluent hypergeometric Kummer function M(a, b, z) and its z-derivative.
 
-Evaluation is by the Taylor series sum_{n>=0} (a)_n z^n / ((b)_n n!) with a
-relative stopping rule, summed on Python floats. The model's arguments
-(a > 0, z = rho*(mu-f)^2/sigma^2 >= 0) give positive terms, but z is not
-small: over the benchmark's parameter cube it reaches 313 at calibrated band
-edges, where the series needs about 470 of its 500 terms, and 7.8e7 at
-Newton trial points. Beyond z of about 300 to 340 (depending on a) the cap
-is exceeded and beyond about 550 to 780 the terms overflow: both raise
-ConvergenceError. No large-|z| asymptotic branch is provided.
+`kummer_m(a, b, z)` takes plain floats and sums the Taylor series
+sum_{n>=0} (a)_n z^n / ((b)_n n!) on Python floats, to a relative stop. The
+model's arguments (a > 0, z = rho*(mu-f)^2/sigma^2 >= 0) give positive terms,
+but z is not small: over the benchmark's parameter cube it reaches 313 at
+calibrated band edges, where the series needs about 470 of its 500 terms, and
+7.8e7 at Newton trial points. Beyond z of about 300 to 340 (depending on a)
+the cap is exceeded and beyond about 550 to 780 the terms overflow: both
+raise ConvergenceError. No large-|z| asymptotic branch is provided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, ParameterError
 
@@ -25,22 +24,15 @@ MAX_TERMS = 500
 _MACHINE_REL = 2.0**-52
 
 
-@dataclass(frozen=True)
-class KummerArgs:
-    """Parameters (a, b) and argument z of M(a, b, z)."""
-
-    a: float
-    b: float
-    z: float
-
-
 def _check_b(b: float) -> None:
     # Poles of M in b sit at 0, -1, -2, ...
     if b <= 0 and b == math.floor(b):
         raise ParameterError(f"b={b} is a pole of M(a, b, z) (zero or negative integer)")
 
 
-def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS) -> float:
+def kummer_m(
+    a: float, b: float, z: float, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS
+) -> float:
     """Evaluate M(a, b, z) by direct series summation.
 
     Terminates once two consecutive terms are negligible relative to the
@@ -52,12 +44,12 @@ def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     relative to the sum. Terms never change sign for a > 0, b > 0, z >= 0,
     so there the cancellation check cannot fire. An overflowed sum raises too.
     """
-    _check_b(args.b)
+    _check_b(b)
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
 
     # Python floats: numpy scalar arithmetic gives the same bits about twice as slowly.
-    a, b, z = float(args.a), float(args.b), float(args.z)
+    a, b, z = float(a), float(b), float(z)
     rel_stop = min(tol, _MACHINE_REL)
     term = 1.0
     total = 1.0
@@ -87,8 +79,9 @@ def kummer_m(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     )
 
 
-def kummer_m_dz(args: KummerArgs, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS) -> float:
+def kummer_m_dz(
+    a: float, b: float, z: float, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS
+) -> float:
     """dM/dz via the exact identity dM(a,b,z)/dz = (a/b) * M(a+1, b+1, z)."""
-    _check_b(args.b)
-    shifted = KummerArgs(args.a + 1.0, args.b + 1.0, args.z)
-    return (args.a / args.b) * kummer_m(shifted, tol=tol, max_terms=max_terms)
+    _check_b(b)
+    return (a / b) * kummer_m(a + 1.0, b + 1.0, z, tol=tol, max_terms=max_terms)

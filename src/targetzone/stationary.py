@@ -17,11 +17,12 @@ conditions at the upper edge; `calibrate_symmetric` solves that 2x2 system by
 damped Newton with the analytic Jacobian. `calibrate_bm` provides the
 rho -> 0 (regulated Brownian motion) reference in closed form.
 
-Value, slope and curvature at a point all come from one jet, which evaluates
-the Kummer values M(a_i + k, b_i + k, z), k = 0, 1, 2, once on Python floats:
-three of them (the odd family) when c1 = 0, as in every symmetric
-calibration, and six otherwise. Newton evaluates one jet per trial point, and
-an accepted point's jet is also the next Jacobian. A trial point whose jet
+Value, slope and curvature at a point come from one jet. It derives a2 and
+the powers of rho and sigma once, raising ParameterError (key rho or sigma)
+where one is not a usable float, then the Kummer values M(a_i + k, b_i + k, z),
+k = 0, 1, 2, on Python floats: three when c1 = 0, as in every symmetric
+calibration, six otherwise. Newton evaluates one jet per trial point, and an
+accepted point's jet is also the next Jacobian. A trial point whose jet
 overflows or whose Kummer series raises is rejected like a NaN residual.
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CalibrationError, ConvergenceError, ParameterError
-from .kummer import KummerArgs, kummer_m
+from .kummer import kummer_m
 from .model import Band, BmStationaryCoefficients, ModelParams, StationaryCoefficients
 
 _NEWTON_TOL = 1e-12
@@ -45,16 +46,6 @@ def check_e_bar(e_bar: float) -> None:
     """The band half-width in the rate must be positive and finite."""
     if not (e_bar > 0 and math.isfinite(e_bar)):
         raise ParameterError(f"must be positive and finite, got {e_bar}", "e_bar")
-
-
-def _require_mean_reverting(params: ModelParams) -> None:
-    alpha_rho = params.alpha * params.rho
-    if not (alpha_rho > 0 and math.isfinite((1.0 + alpha_rho) / (2.0 * alpha_rho))):
-        raise ParameterError(
-            f"a2 is not finite at alpha*rho={alpha_rho}; rho = 0 is the Brownian-motion case", "rho"
-        )
-    if params.sigma < 1 and params.sigma**5 == 0:  # the jet's curvature divides by sigma**5
-        raise ParameterError(f"sigma**5 underflows to 0.0 at sigma={params.sigma}", "sigma")
 
 
 class _Jet(NamedTuple):
@@ -81,33 +72,46 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     signed zero c1*0.0 is, and its slope is summed with the non-zero
     free-float slope.
     """
-    _require_mean_reverting(params)
     rho, sigma = params.rho, params.sigma
+    alpha_rho, two_alpha_rho = params.alpha * rho, 2.0 * params.alpha * rho
+    a2 = (1.0 + alpha_rho) / two_alpha_rho if two_alpha_rho else math.inf
+    if not 0.5 <= a2 < math.inf:  # a2 = 1/2 + 1/(2*alpha*rho); 0.0 once 2*alpha*rho overflows
+        raise ParameterError(f"a2={a2} at alpha*rho={alpha_rho}; rho = 0 is Brownian motion", "rho")
+    try:  # `**` raises OverflowError where `*` would give inf
+        s2, s3, s4, s5 = sigma**2, sigma**3, sigma**4, sigma**5
+    except OverflowError:
+        s5 = math.inf
+    if not 0 < s5 < math.inf:  # the curvature divides by sigma**5
+        raise ParameterError(f"sigma**5 over- or underflows at sigma={sigma}", "sigma")
+    try:
+        sqrt_rho, r15, r2, r25 = math.sqrt(rho), rho**1.5, rho**2, rho**2.5
+    except OverflowError:
+        raise ParameterError(f"rho**2.5 overflows at rho={rho}", "rho") from None
+
     u = params.mu - f
-    z = rho * u * u / sigma**2
+    z = rho * u * u / s2
 
     if coefs.c1 == 0:
         h1 = h1p = h1pp = 0.0
     else:
-        a1 = 1.0 / (2.0 * params.alpha * rho)
-        h1 = kummer_m(KummerArgs(a1, 0.5, z))
-        m1p = (a1 / 0.5) * kummer_m(KummerArgs(a1 + 1.0, 1.5, z))
-        m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(KummerArgs(a1 + 2.0, 2.5, z))
-        h1p = -(2.0 * rho * u / sigma**2) * m1p
-        h1pp = (4.0 * rho**2 * u * u / sigma**4) * m1pp + (2.0 * rho / sigma**2) * m1p
+        a1 = 1.0 / two_alpha_rho
+        h1 = kummer_m(a1, 0.5, z)
+        m1p = (a1 / 0.5) * kummer_m(a1 + 1.0, 1.5, z)
+        m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(a1 + 2.0, 2.5, z)
+        h1p = -(2.0 * rho * u / s2) * m1p
+        h1pp = (4.0 * r2 * u * u / s4) * m1pp + (2.0 * rho / s2) * m1p
 
-    a2 = (1.0 + params.alpha * rho) / (2.0 * params.alpha * rho)
-    m2 = kummer_m(KummerArgs(a2, 1.5, z))
-    m2p = (a2 / 1.5) * kummer_m(KummerArgs(a2 + 1.0, 2.5, z))
-    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(KummerArgs(a2 + 2.0, 3.5, z))
-    h2 = (math.sqrt(rho) * u / sigma) * m2
-    h2p = -((math.sqrt(rho) / sigma) * m2 + (2.0 * rho**1.5 * u * u / sigma**3) * m2p)
-    h2pp = (6.0 * rho**1.5 * u / sigma**3) * m2p + (4.0 * rho**2.5 * u**3 / sigma**5) * m2pp
+    m2 = kummer_m(a2, 1.5, z)
+    m2p = (a2 / 1.5) * kummer_m(a2 + 1.0, 2.5, z)
+    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(a2 + 2.0, 3.5, z)
+    h2 = (sqrt_rho * u / sigma) * m2
+    h2p = -((sqrt_rho / sigma) * m2 + (2.0 * r15 * u * u / s3) * m2p)
+    h2pp = (6.0 * r15 * u / s3) * m2p + (4.0 * r25 * u**3 / s5) * m2pp
 
-    particular = (params.alpha * rho * params.mu + f) / (1.0 + params.alpha * rho)
+    particular = (alpha_rho * params.mu + f) / (1.0 + alpha_rho)
     return _Jet(
         value=coefs.c1 * h1 + coefs.c2 * h2 + particular,
-        slope=coefs.c1 * h1p + coefs.c2 * h2p + 1.0 / (1.0 + params.alpha * rho),
+        slope=coefs.c1 * h1p + coefs.c2 * h2p + 1.0 / (1.0 + alpha_rho),
         curvature=coefs.c1 * h1pp + coefs.c2 * h2pp,
         h2=h2,
         h2p=h2p,
@@ -227,10 +231,14 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
 
     Smooth pasting fixes a = -1/(2l*cosh(l*f_bar)) and f_bar as the unique
     positive root of f_bar - tanh(l*f_bar)/l = e_bar, l = sqrt(2/(alpha*sigma^2)).
+    l must be a positive finite float (key alpha) and e^{l*f_bar} finite (key e_bar).
     """
     ModelParams(alpha, 0.0, sigma)  # checks alpha and sigma
     check_e_bar(e_bar)
-    lam = math.sqrt(2.0 / (alpha * sigma**2))
+    alpha_s2 = alpha * sigma**2
+    lam = math.sqrt(2.0 / alpha_s2) if alpha_s2 else math.inf
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lambda={lam} is not a positive finite float", "alpha")
 
     def gap(f_bar: float) -> float:
         return f_bar - math.tanh(lam * f_bar) / lam - e_bar
@@ -240,6 +248,10 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
         f_bar = brentq(gap, 0.0, e_bar + 1.0 / lam, xtol=1e-16, rtol=8.9e-16)
     except ValueError as exc:
         raise CalibrationError(f"no smooth-pasting root for e_bar={e_bar}") from exc
+    try:
+        math.exp(lam * f_bar)  # the evaluators need e^(lam*f) up to the band edge
+    except OverflowError:
+        raise ParameterError(f"e^(lambda*f_bar) overflows at f_bar={f_bar}", "e_bar") from None
     a_coef = -1.0 / (2.0 * lam * math.cosh(lam * f_bar))
     coefs = BmStationaryCoefficients(a_coef, lam)
     return coefs, Band(-f_bar, f_bar, -e_bar, e_bar)

@@ -11,7 +11,6 @@ import numpy as np
 
 from targetzone import (
     GridSpec,
-    KummerArgs,
     ModelParams,
     calibrate_bm,
     calibrate_symmetric,
@@ -40,19 +39,17 @@ def _report(n, text):
 
 def test_criterion_01_special_function_identities():
     for a, b in [(0.5, 1.5), (1.0, 1.0), (2.0 / 3.0, 1.5), (-1.2, 0.7)]:
-        assert kummer_m(KummerArgs(a, b, 0.0)) == 1.0
+        assert kummer_m(a, b, 0.0) == 1.0
 
-    worst = max(
-        abs(kummer_m(KummerArgs(1.0, 1.0, z)) - math.exp(z)) for z in np.linspace(-5, 5, 101)
-    )
+    worst = max(abs(kummer_m(1.0, 1.0, z) - math.exp(z)) for z in np.linspace(-5, 5, 101))
     assert worst < 1e-12
 
-    args = KummerArgs(2.0 / 3.0, 1.5, 0.5)
-    exact = kummer_m_dz(args)
+    a, b, z = 2.0 / 3.0, 1.5, 0.5
+    exact = kummer_m_dz(a, b, z)
 
     def fd_error(h):
-        plus = kummer_m(KummerArgs(args.a, args.b, args.z + h))
-        minus = kummer_m(KummerArgs(args.a, args.b, args.z - h))
+        plus = kummer_m(a, b, z + h)
+        minus = kummer_m(a, b, z - h)
         return abs((plus - minus) / (2 * h) - exact)
 
     order = math.log10(fd_error(1e-3) / fd_error(1e-4))

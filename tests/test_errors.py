@@ -14,11 +14,14 @@ from targetzone import (
     calibrate_bm,
     calibrate_symmetric,
     eval_stationary,
+    eval_stationary_curvature,
+    eval_stationary_slope,
 )
 from targetzone.cli import main
 
 REFERENCE = ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
 REFERENCE_COEFS = StationaryCoefficients(0.0, 0.0093)
+HUGE_SIGMA = ModelParams(alpha=3.0, rho=1.0, sigma=1e62)
 
 
 def test_config_error_is_parameter_error():
@@ -64,7 +67,55 @@ def test_keyed_error_reads_key_colon_message():
             None,
             id="eval-f-1e103",
         ),
+        pytest.param(
+            lambda: calibrate_bm(1e300, 1e10, 0.01), ParameterError, "alpha", id="bm-lambda-zero"
+        ),
+        pytest.param(
+            lambda: eval_stationary(HUGE_SIGMA, REFERENCE_COEFS, 0.01),
+            ParameterError,
+            "sigma",
+            id="eval-sigma-1e62",
+        ),
+        pytest.param(
+            lambda: eval_stationary_slope(HUGE_SIGMA, REFERENCE_COEFS, 0.01),
+            ParameterError,
+            "sigma",
+            id="slope-sigma-1e62",
+        ),
+        pytest.param(
+            lambda: eval_stationary_curvature(HUGE_SIGMA, REFERENCE_COEFS, 0.01),
+            ParameterError,
+            "sigma",
+            id="curvature-sigma-1e62",
+        ),
+        pytest.param(
+            lambda: eval_stationary(
+                ModelParams(3.0, 1e130, 0.1), StationaryCoefficients(0.0, 1.0), 0.0
+            ),
+            ParameterError,
+            "rho",
+            id="eval-rho-1e130",
+        ),
+        pytest.param(
+            lambda: eval_stationary(ModelParams(1e308, 1.0, 0.1), REFERENCE_COEFS, 0.05),
+            ParameterError,
+            "rho",
+            id="eval-alpha-rho-overflow",
+        ),
         pytest.param(["calibrate", "--sigma", "1e-170"], None, "sigma", id="cli-sigma-1e-170"),
+        pytest.param(["calibrate", "--sigma", "1e62"], None, "sigma", id="cli-sigma-1e62"),
+        pytest.param(
+            ["calibrate", "--rho", "0", "--alpha", "1e-200", "--sigma", "1e-100"],
+            None,
+            "alpha",
+            id="cli-bm-lambda-inf",
+        ),
+        pytest.param(
+            ["calibrate", "--rho", "0", "--e-bar", "1e300"], None, "e_bar", id="cli-bm-cosh"
+        ),
+        pytest.param(
+            ["calibrate", "--rho", "0", "--e-bar", "86.82"], None, "e_bar", id="cli-bm-exp"
+        ),
         pytest.param(["calibrate", "--sigma", "1e-70"], None, "sigma", id="cli-sigma-1e-70"),
         pytest.param(["solve", "--rho", "0", "--sigma", "1e-170"], None, "sigma", id="cli-bm"),
         pytest.param(

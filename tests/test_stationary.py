@@ -5,7 +5,6 @@ import pytest
 
 from targetzone import (
     CalibrationError,
-    KummerArgs,
     ModelParams,
     ParameterError,
     StationaryCoefficients,
@@ -143,9 +142,9 @@ def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c1, calls):
 
     seen = []
 
-    def counting_kummer_m(args, *rest, **kwargs):
+    def counting_kummer_m(*args, **kwargs):
         seen.append(args)
-        return kummer_m(args, *rest, **kwargs)
+        return kummer_m(*args, **kwargs)
 
     monkeypatch.setattr(stationary_mod, "kummer_m", counting_kummer_m)
     params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03)
@@ -250,15 +249,15 @@ def _bisection_calibration(params, e_bar):
 
     def c2_of(f_bar):
         z = r * f_bar**2 / s**2
-        denom = (math.sqrt(r) / s) * kummer_m(KummerArgs(a2, 1.5, z)) + (
+        denom = (math.sqrt(r) / s) * kummer_m(a2, 1.5, z) + (
             2 * math.sqrt(r) * (1 + a * r) * f_bar**2 / (3 * a * s**3)
-        ) * kummer_m(KummerArgs(a3, 2.5, z))
+        ) * kummer_m(a3, 2.5, z)
         return (1 / (1 + a * r)) / denom
 
     def value_gap(f_bar):
         z = r * f_bar**2 / s**2
         edge = f_bar / (1 + a * r) - c2_of(f_bar) * (math.sqrt(r) * f_bar / s) * kummer_m(
-            KummerArgs(a2, 1.5, z)
+            a2, 1.5, z
         )
         return edge - e_bar
 
