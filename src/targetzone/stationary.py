@@ -81,7 +81,7 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
         s2, s3, s4, s5 = sigma**2, sigma**3, sigma**4, sigma**5
     except OverflowError:
         s5 = math.inf
-    if not 0 < s5 < math.inf:  # the curvature divides by sigma**5
+    if not 0 < s5 < math.inf:  # the most extreme power on either side of 1, and a divisor
         raise ParameterError(f"sigma**5 over- or underflows at sigma={sigma}", "sigma")
     try:
         sqrt_rho, r15, r2, r25 = math.sqrt(rho), rho**1.5, rho**2, rho**2.5
