@@ -27,7 +27,7 @@ _MACHINE_REL = 2.0**-52
 def _check_b(b: float) -> None:
     # Poles of M in b sit at 0, -1, -2, ...
     if b <= 0 and b == math.floor(b):
-        raise ParameterError(f"b={b} is a pole of M(a, b, z) (zero or negative integer)")
+        raise ParameterError(f"b={b} is a pole of M(a, b, z) (zero or negative integer)", "b")
 
 
 def kummer_m(
@@ -46,7 +46,7 @@ def kummer_m(
     """
     _check_b(b)
     if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+        raise ParameterError(f"tol must be positive, got {tol}", "tol")
 
     # Python floats: numpy scalar arithmetic gives the same bits about twice as slowly.
     a, b, z = float(a), float(b), float(z)

@@ -53,9 +53,13 @@ class Band:
 
     def __post_init__(self):
         if not self.f_lo < self.f_hi:
-            raise ParameterError(f"band requires f_lo < f_hi, got [{self.f_lo}, {self.f_hi}]")
+            raise ParameterError(
+                f"band requires f_lo < f_hi, got [{self.f_lo}, {self.f_hi}]", "f_lo"
+            )
         if not self.e_lo < self.e_hi:
-            raise ParameterError(f"band requires e_lo < e_hi, got [{self.e_lo}, {self.e_hi}]")
+            raise ParameterError(
+                f"band requires e_lo < e_hi, got [{self.e_lo}, {self.e_hi}]", "e_lo"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,4 +82,4 @@ class BmStationaryCoefficients:
 
     def __post_init__(self):
         if not self.lam > 0:
-            raise ParameterError(f"lambda must be positive, got {self.lam}")
+            raise ParameterError(f"lambda must be positive, got {self.lam}", "lam")

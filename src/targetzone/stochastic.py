@@ -76,7 +76,7 @@ class PathSpec:
     def __post_init__(self):
         _check_step_and_seed(self.dt, self.seed)
         if self.n_steps < 1:
-            raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}")
+            raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}", key="n_steps")
 
 
 @dataclass(frozen=True)

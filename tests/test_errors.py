@@ -2,26 +2,34 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from targetzone import (
+    Band,
+    BmStationaryCoefficients,
     ConfigError,
     ConvergenceError,
     ModelParams,
     ParameterError,
+    PathSpec,
     StationaryCoefficients,
+    Surface,
     TargetZoneError,
     calibrate_bm,
     calibrate_symmetric,
     eval_stationary,
     eval_stationary_curvature,
     eval_stationary_slope,
+    kummer_m,
+    slice_at,
 )
 from targetzone.cli import main
 
 REFERENCE = ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
 REFERENCE_COEFS = StationaryCoefficients(0.0, 0.0093)
 HUGE_SIGMA = ModelParams(alpha=3.0, rho=1.0, sigma=1e62)
+FLAT_SURFACE = Surface(np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), np.zeros((3, 3)))
 
 
 def test_config_error_is_parameter_error():
@@ -101,6 +109,23 @@ def test_keyed_error_reads_key_colon_message():
             ParameterError,
             "rho",
             id="eval-alpha-rho-overflow",
+        ),
+        pytest.param(lambda: slice_at(FLAT_SURFACE, 2.0), ParameterError, "t", id="slice-t"),
+        pytest.param(
+            lambda: Band(0.1, -0.1, -0.01, 0.01), ParameterError, "f_lo", id="band-f-reversed"
+        ),
+        pytest.param(
+            lambda: Band(-0.1, 0.1, 0.01, -0.01), ParameterError, "e_lo", id="band-e-reversed"
+        ),
+        pytest.param(
+            lambda: BmStationaryCoefficients(0.0, 0.0), ParameterError, "lam", id="bm-coefs-lam"
+        ),
+        pytest.param(
+            lambda: PathSpec(0.0, 0.001, 0, 1), ParameterError, "n_steps", id="path-n-steps"
+        ),
+        pytest.param(lambda: kummer_m(1.0, -2.0, 0.5), ParameterError, "b", id="kummer-pole"),
+        pytest.param(
+            lambda: kummer_m(1.0, 1.5, 0.5, tol=0.0), ParameterError, "tol", id="kummer-tol"
         ),
         pytest.param(["calibrate", "--sigma", "1e-170"], None, "sigma", id="cli-sigma-1e-170"),
         pytest.param(["calibrate", "--sigma", "1e62"], None, "sigma", id="cli-sigma-1e62"),

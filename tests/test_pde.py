@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from targetzone import (
     GridSpec,
     InstabilityError,
+    ModelParams,
     ParameterError,
     boundary_paths,
+    calibrate_symmetric,
     convergence_order,
     edge_slopes,
     eval_stationary,
@@ -195,6 +198,56 @@ def test_explicit_scheme_blowup_names_step(base_params, calibrated):
     _, band = calibrated
     with pytest.raises(InstabilityError, match="step"):
         solve_nonstationary(base_params, band, GridSpec(401, 100, 0.0))
+
+
+# The march checks finiteness once per 64-step block. These explicit grids
+# blow up first inside the first block, on the last and first steps around a
+# block boundary, mid-block later on, and in a final partial block (at its
+# last step too); each message must name the step a per-step check named.
+@pytest.mark.parametrize(
+    ("horizon", "nf", "nt", "message"),
+    [
+        pytest.param(300.0, 401, 150, "step 61 (t = 122)", id="first-block"),
+        pytest.param(300.0, 401, 269, "step 64 (t = 71.3755)", id="end-of-block-1"),
+        pytest.param(300.0, 401, 322, "step 65 (t = 60.559)", id="start-of-block-2"),
+        pytest.param(3.0, 401, 1000, "step 128 (t = 0.384)", id="end-of-block-2"),
+        pytest.param(3.0, 201, 800, "step 160 (t = 0.6)", id="mid-block-3"),
+        pytest.param(3.0, 401, 100, "step 92 (t = 2.76)", id="partial-tail"),
+        pytest.param(3.0, 401, 90, "step 90 (t = 3)", id="last-step"),
+    ],
+)
+def test_explicit_blowup_names_the_first_bad_step(horizon, nf, nt, message):
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.0, horizon=horizon)
+    _, band = calibrate_symmetric(params, 0.01)
+    with pytest.raises(InstabilityError) as excinfo:
+        solve_nonstationary(params, band, GridSpec(nf, nt, 0.0))
+    assert str(excinfo.value) == f"non-finite values at {message}"
+
+
+# nt is not a multiple of the 64-step block in any of these, so the partial
+# tail block is covered.
+@pytest.mark.parametrize(
+    ("grid", "digest"),
+    [
+        (
+            GridSpec(41, 300, 0.5),
+            "b7963e37d9cce20d9a5f3f442404244a276cff6e5741712c717d8da58947f21b",
+        ),
+        (
+            GridSpec(41, 300, 1.0),
+            "80090695b51021ee13bd42b22da75edfa72d73e3bf2e46b8c32806c21627f8d7",
+        ),
+        (
+            GridSpec(81, 130, 0.5),
+            "b7eb059722f875a95af110fe96bfb9ab7cc6c5b9be05ec148ac974299327e8ee",
+        ),
+    ],
+    ids=["41x300-cn", "41x300-implicit", "81x130-cn"],
+)
+def test_surface_bits_are_pinned(base_params, calibrated, grid, digest):
+    _, band = calibrated
+    values = solve_nonstationary(base_params, band, grid).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_steep_drift_on_coarse_grid_warns_with_peclet_number():
