@@ -203,7 +203,7 @@ def test_explicit_scheme_blowup_names_step(base_params, calibrated):
 # The march checks finiteness once per 64-step block. These explicit grids
 # blow up first inside the first block, on the last and first steps around a
 # block boundary, mid-block later on, and in a final partial block (at its
-# last step too); each message must name the step a per-step check named.
+# last step too); each message must name the first step that is not finite.
 @pytest.mark.parametrize(
     ("horizon", "nf", "nt", "message"),
     [
