@@ -104,7 +104,7 @@ def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
         band,
         lambda f: eval_stationary(params, coefs, f),
         lambda f: eval_stationary_slope(params, coefs, f),
-        [("model", "ou"), ("c1", coefs.c1), ("c2", coefs.c2)],
+        [("model", "ou"), ("c2", coefs.c2)],
         f"ou_rho={params.rho:g}",
     )
 

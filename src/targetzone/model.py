@@ -64,21 +64,18 @@ class Band:
 
 @dataclass(frozen=True)
 class StationaryCoefficients:
-    """Integration constants of the closed-form stationary solution.
+    """Constant c2 of the odd stationary solution; the symmetric band forces c1 = 0."""
 
-    In the symmetric case (mu = 0, f_lo = -f_hi) calibration forces c1 = 0.
-    """
-
-    c1: float
     c2: float
 
 
 @dataclass(frozen=True)
 class BmStationaryCoefficients:
-    """Coefficients of the Brownian-motion reference solution f + a*(e^{lf} - e^{-lf})."""
+    """Brownian-motion reference f + a*(e^{lf} - e^{-lf}); evaluated from lam and f_bar."""
 
     a_coef: float
     lam: float
+    f_bar: float
 
     def __post_init__(self):
         if not self.lam > 0:

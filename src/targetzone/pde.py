@@ -13,11 +13,14 @@ source s = f/alpha, each step solves
 with one tridiagonal system per step. The matrix does not change with time:
 it is factored once by LAPACK `gttrf`, and each step is one `gttrs` solve of
 a right-hand side built in place in the row of the surface it fills. The
-rows are checked for finiteness once per block of 64 steps, not once per
-step: the forward and back substitutions keep a non-finite right-hand side
-non-finite, so the InstabilityError still names the first step whose values
-are not finite, with its t. The advection term uses central differences
-and the Neumann edges use mirror ghost nodes folded into the boundary rows,
+rows are checked once per block of 64 steps, not once per step: the forward
+and back substitutions keep a non-finite right-hand side non-finite, so the
+InstabilityError names the first step whose values are not finite, with its
+t. A march that ends finite raises it too, naming the first step past the
+exact solution's bound |e| <= max(|f_lo|, |f_hi|): an unstable explicit grid
+that has not overflowed yet, or a Crank-Nicolson step so much longer than
+alpha that it overshoots. The advection term uses central differences and
+the Neumann edges use mirror ghost nodes folded into the boundary rows,
 keeping the scheme second order in f. Central advection is monotone while
 the cell Peclet number rho*|f - mu|*df/sigma^2 stays at or below one;
 building the operator warns with a RuntimeWarning when it does not.
@@ -120,6 +123,8 @@ def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surf
     dt_source = dt * (f / params.alpha)
     values = np.zeros((grid.nt + 1, grid.nf))
     coupling = np.empty(grid.nf - 1)
+    bound = max(abs(band.f_lo), abs(band.f_hi))
+    first_over = 0  # the first step past the bound; 0 while there is none
     with np.errstate(over="ignore", invalid="ignore"):  # blowup is reported as an error below
         for n0 in range(0, grid.nt, _BLOCK):
             n1 = min(n0 + _BLOCK, grid.nt)
@@ -141,10 +146,19 @@ def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surf
                 dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
             # The substitutions keep a non-finite right-hand side non-finite,
             # so the first bad solved row is the first bad step.
-            bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
+            peak = np.abs(new).max(axis=1)  # non-finite exactly where a row is
+            bad = np.flatnonzero(~np.isfinite(peak))
             if bad.size:
                 k = n0 + 1 + int(bad[0])
                 raise InstabilityError(f"non-finite values at step {k} (t = {k * dt:g})")
+            over = np.flatnonzero(peak > bound)
+            if over.size and not first_over:
+                first_over = n0 + 1 + int(over[0])
+    if first_over:
+        k = first_over
+        raise InstabilityError(
+            f"|e| exceeds max(|f_lo|, |f_hi|) = {bound:g} from step {k} (t = {k * dt:g})"
+        )
 
     t = np.linspace(0.0, params.horizon, grid.nt + 1)
     return Surface(t, f, values)

@@ -4,26 +4,26 @@ The stationary two-point problem
 
     (alpha*sigma^2/2) e'' - alpha*rho*(f - mu) e' - e = -f,   e'(f_lo) = e'(f_hi) = 0
 
-has the general solution
+has the odd-family solution
 
-    e(f) = c1*M(a1, 1/2, z) + c2*(sqrt(rho)*(mu - f)/sigma)*M(a2, 3/2, z)
-           + (alpha*rho*mu + f)/(1 + alpha*rho),
-    z = rho*(mu - f)^2 / sigma^2,
-    a1 = 1/(2*alpha*rho),  a2 = (1 + alpha*rho)/(2*alpha*rho),
+    e(f) = c2*(sqrt(rho)*(mu - f)/sigma)*M(a2, 3/2, z) + (alpha*rho*mu + f)/(1 + alpha*rho),
+    z = rho*(mu - f)^2 / sigma^2,   a2 = (1 + alpha*rho)/(2*alpha*rho),
 
-where M is the Kummer function. In the symmetric case (mu = 0, f_lo = -f_hi)
-oddness forces c1 = 0 and (c2, f_hi) solve the value and smooth-pasting
-conditions at the upper edge; `calibrate_symmetric` solves that 2x2 system by
-damped Newton with the analytic Jacobian. `calibrate_bm` provides the
-rho -> 0 (regulated Brownian motion) reference in closed form.
+where M is the Kummer function. The general solution adds an even term
+c1*M(1/(2*alpha*rho), 1/2, z); on the symmetric band (mu = 0, f_lo = -f_hi)
+oddness forces c1 = 0, so it is not carried. (c2, f_hi) solve the value and
+smooth-pasting conditions at the upper edge; `calibrate_symmetric` solves
+that 2x2 system by damped Newton with the analytic Jacobian. `calibrate_bm`
+provides the rho -> 0 (regulated Brownian motion) reference in closed form,
+evaluated in a form normalised at the band edge so that nothing overflows.
 
 Value, slope and curvature at a point come from one jet. It derives a2 and
 the powers of rho and sigma once, raising ParameterError (key rho or sigma)
-where one is not a usable float, then the Kummer values M(a_i + k, b_i + k, z),
-k = 0, 1, 2, on Python floats: three when c1 = 0, as in every symmetric
-calibration, six otherwise. Newton evaluates one jet per trial point, and an
-accepted point's jet is also the next Jacobian. A trial point whose jet
-overflows or whose Kummer series raises is rejected like a NaN residual.
+where one is not a usable float, then the three Kummer values
+M(a2 + k, 3/2 + k, z), k = 0, 1, 2, on Python floats. Newton evaluates one
+jet per trial point, and an accepted point's jet is also the next Jacobian.
+A trial point whose jet overflows or whose Kummer series raises is rejected
+like a NaN residual.
 """
 
 from __future__ import annotations
@@ -61,16 +61,10 @@ class _Jet(NamedTuple):
 def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     """Evaluate the stationary solution and its first two df-derivatives at f.
 
-    The Kummer values M(a, b, z), M(a+1, b+1, z) and M(a+2, b+2, z) of each
-    homogeneous term are computed once; the derivatives follow from
+    The Kummer values M(a2, 3/2, z), M(a2+1, 5/2, z) and M(a2+2, 7/2, z) are
+    computed once; the derivatives follow from
     dM(a, b, z)/dz = (a/b) M(a+1, b+1, z) and the chain rule through
     z(f) = rho*(mu-f)^2/sigma^2.
-
-    When c1 = 0, as calibration always sets it, the even term is not
-    evaluated and stands as 0.0. Wherever it is finite that gives the same
-    bits: its value and curvature are positive, so c1 times either is the
-    signed zero c1*0.0 is, and its slope is summed with the non-zero
-    free-float slope.
     """
     rho, sigma = params.rho, params.sigma
     alpha_rho, two_alpha_rho = params.alpha * rho, 2.0 * params.alpha * rho
@@ -78,29 +72,18 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     if not 0.5 <= a2 < math.inf:  # a2 = 1/2 + 1/(2*alpha*rho); 0.0 once 2*alpha*rho overflows
         raise ParameterError(f"a2={a2} at alpha*rho={alpha_rho}; rho = 0 is Brownian motion", "rho")
     try:  # `**` raises OverflowError where `*` would give inf
-        s2, s3, s4, s5 = sigma**2, sigma**3, sigma**4, sigma**5
+        s2, s3, s5 = sigma**2, sigma**3, sigma**5
     except OverflowError:
         s5 = math.inf
     if not 0 < s5 < math.inf:  # the most extreme power on either side of 1, and a divisor
         raise ParameterError(f"sigma**5 over- or underflows at sigma={sigma}", "sigma")
     try:
-        sqrt_rho, r15, r2, r25 = math.sqrt(rho), rho**1.5, rho**2, rho**2.5
+        sqrt_rho, r15, r25 = math.sqrt(rho), rho**1.5, rho**2.5
     except OverflowError:
         raise ParameterError(f"rho**2.5 overflows at rho={rho}", "rho") from None
 
     u = params.mu - f
     z = rho * u * u / s2
-
-    if coefs.c1 == 0:
-        h1 = h1p = h1pp = 0.0
-    else:
-        a1 = 1.0 / two_alpha_rho
-        h1 = kummer_m(a1, 0.5, z)
-        m1p = (a1 / 0.5) * kummer_m(a1 + 1.0, 1.5, z)
-        m1pp = (a1 * (a1 + 1.0) / (0.5 * 1.5)) * kummer_m(a1 + 2.0, 2.5, z)
-        h1p = -(2.0 * rho * u / s2) * m1p
-        h1pp = (4.0 * r2 * u * u / s4) * m1pp + (2.0 * rho / s2) * m1p
-
     m2 = kummer_m(a2, 1.5, z)
     m2p = (a2 / 1.5) * kummer_m(a2 + 1.0, 2.5, z)
     m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(a2 + 2.0, 3.5, z)
@@ -110,9 +93,9 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
 
     particular = (alpha_rho * params.mu + f) / (1.0 + alpha_rho)
     return _Jet(
-        value=coefs.c1 * h1 + coefs.c2 * h2 + particular,
-        slope=coefs.c1 * h1p + coefs.c2 * h2p + 1.0 / (1.0 + alpha_rho),
-        curvature=coefs.c1 * h1pp + coefs.c2 * h2pp,
+        value=coefs.c2 * h2 + particular,
+        slope=coefs.c2 * h2p + 1.0 / (1.0 + alpha_rho),
+        curvature=coefs.c2 * h2pp,
         h2=h2,
         h2p=h2p,
     )
@@ -157,7 +140,7 @@ def calibrate_symmetric(
 ) -> tuple[StationaryCoefficients, Band]:
     """Solve (c2, f_bar) so that e(f_bar) = e_bar and e'(f_bar) = 0.
 
-    Symmetric case only (mu = 0): c1 = 0 and the band is [-f_bar, f_bar] in
+    Symmetric case only (mu = 0): the band is [-f_bar, f_bar] in
     the fundamental, [-e_bar, e_bar] in the rate. Damped Newton on the 2x2
     system with the analytic Jacobian; the step is halved until the residual
     norm decreases (and f_bar stays positive). Initial guess: the free-float
@@ -170,7 +153,7 @@ def calibrate_symmetric(
     def trial(c2: float, f_bar: float) -> tuple[_Jet | None, tuple[float, float], float]:
         """Jet, residuals and residual norm at one point; a NaN norm rejects it."""
         try:
-            jet = _jet(params, StationaryCoefficients(0.0, c2), f_bar)
+            jet = _jet(params, StationaryCoefficients(c2), f_bar)
         except (OverflowError, ConvergenceError):
             return None, (math.nan, math.nan), math.nan
         res = (jet.value - e_bar, jet.slope)
@@ -188,7 +171,7 @@ def calibrate_symmetric(
 
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _NEWTON_TOL:
-            coefs = StationaryCoefficients(0.0, c2)
+            coefs = StationaryCoefficients(c2)
             band = Band(-f_bar, f_bar, -e_bar, e_bar)
             return coefs, band
 
@@ -229,9 +212,9 @@ def calibrate_symmetric(
 def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationaryCoefficients, Band]:
     """Brownian-motion reference band: e(f) = f + a*(e^{lf} - e^{-lf}).
 
-    Smooth pasting fixes a = -1/(2l*cosh(l*f_bar)) and f_bar as the unique
-    positive root of f_bar - tanh(l*f_bar)/l = e_bar, l = sqrt(2/(alpha*sigma^2)).
-    l must be a positive finite float (key alpha) and e^{l*f_bar} finite (key e_bar).
+    Smooth pasting fixes a = -1/(2l*cosh(l*f_bar)) = -w/(l*(1 + w^2)), w = e^{-l*f_bar},
+    and f_bar as the unique positive root of f_bar - tanh(l*f_bar)/l = e_bar,
+    l = sqrt(2/(alpha*sigma^2)). l must be a positive finite float (key alpha).
     """
     ModelParams(alpha, 0.0, sigma)  # checks alpha and sigma
     check_e_bar(e_bar)
@@ -248,20 +231,31 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
         f_bar = brentq(gap, 0.0, e_bar + 1.0 / lam, xtol=1e-16, rtol=8.9e-16)
     except ValueError as exc:
         raise CalibrationError(f"no smooth-pasting root for e_bar={e_bar}") from exc
-    try:
-        math.exp(lam * f_bar)  # the evaluators need e^(lam*f) up to the band edge
-    except OverflowError:
-        raise ParameterError(f"e^(lambda*f_bar) overflows at f_bar={f_bar}", "e_bar") from None
-    a_coef = -1.0 / (2.0 * lam * math.cosh(lam * f_bar))
-    coefs = BmStationaryCoefficients(a_coef, lam)
+    w = math.exp(-lam * f_bar)
+    coefs = BmStationaryCoefficients(-w / (lam * (1.0 + w * w)), lam, f_bar)
     return coefs, Band(-f_bar, f_bar, -e_bar, e_bar)
 
 
+def _bm_edge_ratio(coefs: BmStationaryCoefficients, f: float, sign: float) -> float:
+    """cosh(l|f|)/cosh(l*f_bar) for sign 1, sinh(l|f|)/cosh(l*f_bar) for sign -1.
+
+    Formed as e^{l(|f| - f_bar)} * (1 + sign*e^{-2l|f|}) / (1 + e^{-2l*f_bar}),
+    which is finite on the band; where the first factor overflows, key f.
+    """
+    lam, x = coefs.lam, abs(f)
+    try:
+        scale = math.exp(lam * (x - coefs.f_bar))
+    except OverflowError:
+        raise ParameterError(f"e^(lambda*(|f| - f_bar)) overflows at f={f}", "f") from None
+    edge = 1.0 + math.exp(-2.0 * lam * coefs.f_bar)
+    return scale * (1.0 + sign * math.exp(-2.0 * lam * x)) / edge
+
+
 def eval_stationary_bm(coefs: BmStationaryCoefficients, f: float) -> float:
-    """Brownian-motion stationary rate f + a*(e^{lf} - e^{-lf})."""
-    return f + coefs.a_coef * (math.exp(coefs.lam * f) - math.exp(-coefs.lam * f))
+    """Brownian-motion stationary rate f + a*(e^{lf} - e^{-lf}) = f - sinh(lf)/(l*cosh(l*f_bar))."""
+    return f - math.copysign(_bm_edge_ratio(coefs, f, -1.0), f) / coefs.lam
 
 
 def eval_stationary_bm_slope(coefs: BmStationaryCoefficients, f: float) -> float:
-    """Slope of the Brownian-motion stationary rate."""
-    return 1.0 + coefs.a_coef * coefs.lam * (math.exp(coefs.lam * f) + math.exp(-coefs.lam * f))
+    """Slope of the Brownian-motion stationary rate, 1 - cosh(lf)/cosh(l*f_bar)."""
+    return 1.0 - _bm_edge_ratio(coefs, f, 1.0)

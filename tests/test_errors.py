@@ -19,6 +19,8 @@ from targetzone import (
     calibrate_bm,
     calibrate_symmetric,
     eval_stationary,
+    eval_stationary_bm,
+    eval_stationary_bm_slope,
     eval_stationary_curvature,
     eval_stationary_slope,
     kummer_m,
@@ -27,7 +29,8 @@ from targetzone import (
 from targetzone.cli import main
 
 REFERENCE = ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
-REFERENCE_COEFS = StationaryCoefficients(0.0, 0.0093)
+REFERENCE_COEFS = StationaryCoefficients(0.0093)
+BM_REFERENCE_COEFS = calibrate_bm(3.0, 0.1, 0.01)[0]
 HUGE_SIGMA = ModelParams(alpha=3.0, rho=1.0, sigma=1e62)
 FLAT_SURFACE = Surface(np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), np.zeros((3, 3)))
 
@@ -98,7 +101,7 @@ def test_keyed_error_reads_key_colon_message():
         ),
         pytest.param(
             lambda: eval_stationary(
-                ModelParams(3.0, 1e130, 0.1), StationaryCoefficients(0.0, 1.0), 0.0
+                ModelParams(3.0, 1e130, 0.1), StationaryCoefficients(1.0), 0.0
             ),
             ParameterError,
             "rho",
@@ -118,15 +121,24 @@ def test_keyed_error_reads_key_colon_message():
             lambda: Band(-0.1, 0.1, 0.01, -0.01), ParameterError, "e_lo", id="band-e-reversed"
         ),
         pytest.param(
-            lambda: BmStationaryCoefficients(0.0, 0.0), ParameterError, "lam", id="bm-coefs-lam"
+            lambda: BmStationaryCoefficients(0.0, 0.0, 1.0),
+            ParameterError,
+            "lam",
+            id="bm-coefs-lam",
+        ),
+        pytest.param(
+            lambda: eval_stationary_bm(BM_REFERENCE_COEFS, 100.0), ParameterError, "f", id="bm-f"
+        ),
+        pytest.param(
+            lambda: eval_stationary_bm_slope(BM_REFERENCE_COEFS, -100.0),
+            ParameterError,
+            "f",
+            id="bm-slope-f",
         ),
         pytest.param(
             lambda: PathSpec(0.0, 0.001, 0, 1), ParameterError, "n_steps", id="path-n-steps"
         ),
         pytest.param(lambda: kummer_m(1.0, -2.0, 0.5), ParameterError, "b", id="kummer-pole"),
-        pytest.param(
-            lambda: kummer_m(1.0, 1.5, 0.5, tol=0.0), ParameterError, "tol", id="kummer-tol"
-        ),
         pytest.param(["calibrate", "--sigma", "1e-170"], None, "sigma", id="cli-sigma-1e-170"),
         pytest.param(["calibrate", "--sigma", "1e62"], None, "sigma", id="cli-sigma-1e62"),
         pytest.param(
@@ -134,12 +146,6 @@ def test_keyed_error_reads_key_colon_message():
             None,
             "alpha",
             id="cli-bm-lambda-inf",
-        ),
-        pytest.param(
-            ["calibrate", "--rho", "0", "--e-bar", "1e300"], None, "e_bar", id="cli-bm-cosh"
-        ),
-        pytest.param(
-            ["calibrate", "--rho", "0", "--e-bar", "86.82"], None, "e_bar", id="cli-bm-exp"
         ),
         pytest.param(["calibrate", "--sigma", "1e-70"], None, "sigma", id="cli-sigma-1e-70"),
         pytest.param(["solve", "--rho", "0", "--sigma", "1e-170"], None, "sigma", id="cli-bm"),
@@ -163,3 +169,20 @@ def test_bad_input_raises_a_typed_error(tmp_path, capsys, case, error, key):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ")
         assert "Traceback" not in err
+
+
+# Both were once refused because e^(lambda*f_bar) overflows; the evaluators
+# no longer form it, so the root is returned.
+@pytest.mark.parametrize(
+    ("e_bar", "f_bar_line"),
+    [
+        pytest.param("1e300", "  f_bar = 1e+300", id="cli-bm-cosh"),
+        pytest.param("86.82", "  f_bar = 86.9424744871", id="cli-bm-exp"),
+    ],
+)
+def test_bm_band_edge_beyond_exp_overflow_calibrates(capsys, e_bar, f_bar_line):
+    assert main(["calibrate", "--rho", "0", "--e-bar", e_bar]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f_bar_line in lines
+    assert "  residual_value = 0" in lines
+    assert "  residual_slope = 0" in lines

@@ -48,10 +48,14 @@ def test_deterministic():
     assert kummer_m(*args) == kummer_m(*args)
 
 
-def test_doubling_term_cap_changes_nothing_after_convergence():
+def test_doubling_term_cap_changes_nothing_after_convergence(monkeypatch):
+    import targetzone.kummer as kummer_mod
+
     for z in (0.09, 1.7, -3.0):
-        base = kummer_m(2.0 / 3.0, 1.5, z, tol=1e-12, max_terms=500)
-        doubled = kummer_m(2.0 / 3.0, 1.5, z, tol=1e-12, max_terms=1000)
+        base = kummer_m(2.0 / 3.0, 1.5, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(kummer_mod, "MAX_TERMS", 1000)
+            doubled = kummer_m(2.0 / 3.0, 1.5, z)
         assert abs(doubled - base) <= 1e-12 * abs(base)
 
 
@@ -93,11 +97,6 @@ def test_negative_noninteger_b_is_fine():
     assert math.isfinite(kummer_m(1.0, -0.5, 0.2))
 
 
-def test_bad_tol_raises():
-    with pytest.raises(ParameterError, match="tol"):
-        kummer_m(1.0, 1.0, 1.0, tol=0.0)
-
-
 def test_nonconvergence_reports_terms():
     with pytest.raises(ConvergenceError, match="500 terms"):
         kummer_m(1.0, 1.0, 400.0)
@@ -108,6 +107,14 @@ def test_cancellation_raises_instead_of_a_wrong_value():
     # peaks near 7e24 and its float sum is -4.8e8.
     with pytest.raises(ConvergenceError, match="cancels"):
         kummer_m(166.7, 0.5, -5.0)
+
+
+def test_cancellation_bound_is_1e_12():
+    # M(1, 1, -z) = e^{-z} by alternating terms. The largest term times 2**-52
+    # is 8.6e-13 of the sum at z = 5, inside the bound, and 2.3e-12 at z = 5.5.
+    assert kummer_m(1.0, 1.0, -5.0) == pytest.approx(math.exp(-5.0), rel=1e-12)
+    with pytest.raises(ConvergenceError, match="cancels"):
+        kummer_m(1.0, 1.0, -5.5)
 
 
 @pytest.mark.parametrize("a,b,z", [(1.0 / 6.0, 0.5, 0.09), (2.99, 1.5, 40.0), (0.7, 1.9, -2.3)])

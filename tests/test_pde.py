@@ -224,6 +224,27 @@ def test_explicit_blowup_names_the_first_bad_step(horizon, nf, nt, message):
     assert str(excinfo.value) == f"non-finite values at {message}"
 
 
+# The exact solution obeys |e| <= max(|f_lo|, |f_hi|). These explicit grids
+# are unstable but end finite (401 x 80 at about 1.5e276), so only that bound
+# tells; the message names the first step past it, early in the first block,
+# mid-block in the second, or late.
+@pytest.mark.parametrize(
+    ("nf", "nt", "message"),
+    [
+        pytest.param(401, 80, "step 3 (t = 0.1125)", id="first-block"),
+        pytest.param(41, 1400, "step 91 (t = 0.195)", id="block-2"),
+        pytest.param(41, 1512, "step 945 (t = 1.875)", id="late"),
+    ],
+)
+def test_finite_explicit_blowup_names_the_first_step_past_the_bound(
+    base_params, calibrated, nf, nt, message
+):
+    _, band = calibrated
+    with pytest.raises(InstabilityError) as excinfo:
+        solve_nonstationary(base_params, band, GridSpec(nf, nt, 0.0))
+    assert str(excinfo.value) == f"|e| exceeds max(|f_lo|, |f_hi|) = 0.0886566 from {message}"
+
+
 # nt is not a multiple of the 64-step block in any of these, so the partial
 # tail block is covered.
 @pytest.mark.parametrize(

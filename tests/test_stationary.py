@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from targetzone import (
     ModelParams,
     ParameterError,
     StationaryCoefficients,
+    TargetZoneError,
     calibrate_bm,
     calibrate_symmetric,
     eval_stationary,
@@ -21,7 +23,7 @@ from targetzone import (
 
 from reference_values import BM_A_COEF, BM_F_BAR, BM_LAMBDA, OU_C2, OU_F_BAR
 
-ZERO = StationaryCoefficients(0.0, 0.0)
+ZERO = StationaryCoefficients(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +38,7 @@ def test_free_float_line(base_params):
 
 def test_zero_at_long_run_level_when_c1_zero(base_params):
     for c2 in (0.0, 0.3, -1.7):
-        coefs = StationaryCoefficients(0.0, c2)
+        coefs = StationaryCoefficients(c2)
         assert eval_stationary(base_params, coefs, 0.0) == 0.0
 
 
@@ -49,7 +51,7 @@ def test_slope_of_free_float_line(base_params):
 def test_slope_matches_central_difference(base_params):
     rng = np.random.default_rng(7)
     for _ in range(25):
-        coefs = StationaryCoefficients(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        coefs = StationaryCoefficients(rng.uniform(-1, 1))
         f = rng.uniform(-0.09, 0.09)
         h = 1e-6
         fd = (eval_stationary(base_params, coefs, f + h) -
@@ -63,7 +65,7 @@ def test_curvature_matches_central_difference(base_params):
     # function value, so the bound scales with the value size.
     rng = np.random.default_rng(11)
     for _ in range(25):
-        coefs = StationaryCoefficients(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        coefs = StationaryCoefficients(rng.uniform(-1, 1))
         f = rng.uniform(-0.09, 0.09)
         h = 1e-5
         fd = (eval_stationary(base_params, coefs, f + h)
@@ -83,9 +85,9 @@ def test_curvature_of_calibrated_solution_matches_central_difference(base_params
 
 
 def test_asymmetric_evaluation_supported():
-    # c1 != 0 and mu != 0 must evaluate, even though calibration is symmetric-only.
+    # mu != 0 must evaluate, even though calibration is symmetric-only.
     params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03)
-    coefs = StationaryCoefficients(0.4, -0.2)
+    coefs = StationaryCoefficients(-0.2)
     h = 1e-6
     fd = (eval_stationary(params, coefs, 0.05 + h) -
           eval_stationary(params, coefs, 0.05 - h)) / (2.0 * h)
@@ -99,26 +101,17 @@ def test_rho_zero_directs_to_bm(base_params):
 
 
 # (value, slope, curvature) as float.hex at f, recorded before the jet
-# skipped the even family for c1 = 0 and moved to Python floats.
+# skipped the even family for c1 = 0 and moved to Python floats, and kept
+# since the even family was deleted.
 PINNED_JETS = {
     "c1 = 0": (
         ModelParams(alpha=3.0, rho=1.0, sigma=0.1),
-        StationaryCoefficients(0.0, 0.009381598529684147),
+        StationaryCoefficients(0.009381598529684147),
         {
             -0.07: ("-0x1.2eac96e8799bdp-7", "0x1.32b9c418ec9f6p-4", "0x1.8051c83de379bp+1"),
             0.0: ("0x0.0p+0", "0x1.3fdd679a76e26p-3", "0x0.0p+0"),
             0.02: ("0x1.94fef9297c67dp-9", "0x1.3562fc8e6b20fp-3", "-0x1.0bcff28ec7240p-1"),
             0.05: ("0x1.da96f29d44de7p-8", "0x1.ec28a94b0f776p-4", "-0x1.a6249c5821bb8p+0"),
-        },
-    ),
-    "c1 != 0": (
-        ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03),
-        StationaryCoefficients(0.4, -0.2),
-        {
-            -0.07: ("0x1.771fd9bcfd4d2p-2", "-0x1.8612e407fbc48p-1", "0x1.3620c829eb5b4p+5"),
-            0.0: ("0x1.8a8800512a2d5p-2", "0x1.2128bd4b720a4p+0", "0x1.6fda31cbe83acp+4"),
-            0.02: ("0x1.a67f0dc7a95f7p-2", "0x1.9c1539f5c24f8p+0", "0x1.979946ed5b9f0p+4"),
-            0.05: ("0x1.e4d77cdf88a1ap-2", "0x1.3f88a28068510p+1", "0x1.17a5385154d68p+5"),
         },
     ),
 }
@@ -134,10 +127,10 @@ def test_evaluator_bits_are_pinned(case, scalar):
         assert got == hexes, f"f = {f}"
 
 
-@pytest.mark.parametrize(("c1", "calls"), [(0.0, 3), (-0.0, 3), (0.4, 6)])
-def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c1, calls):
-    # The even family M(a1, .) is multiplied by c1, which symmetric
-    # calibration always sets to 0.
+@pytest.mark.parametrize(("c2", "calls"), [(0.0, 3), (-0.0, 3)])
+def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c2, calls):
+    # Only the odd family M(a2 + k, 3/2 + k, .) is evaluated, and all of it
+    # even at c2 = 0, where Newton starts and still needs h2 and h2'.
     import targetzone.stationary as stationary_mod
 
     seen = []
@@ -148,7 +141,7 @@ def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c1, calls):
 
     monkeypatch.setattr(stationary_mod, "kummer_m", counting_kummer_m)
     params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03)
-    eval_stationary_curvature(params, StationaryCoefficients(c1, -0.2), 0.05)
+    eval_stationary_curvature(params, StationaryCoefficients(c2), 0.05)
     assert len(seen) == calls
 
 
@@ -171,7 +164,7 @@ def test_residual_of_calibrated_solution(base_params, calibrated, band_grid):
 def test_residual_invariant_under_coefficient_shift(base_params, calibrated, band_grid):
     # Any homogeneous-solution shift still satisfies the stationary equation.
     coefs, _ = calibrated
-    shifted = StationaryCoefficients(0.0, coefs.c2 + 0.1)
+    shifted = StationaryCoefficients(coefs.c2 + 0.1)
     res = stationary_ode_residual(base_params, shifted, band_grid)
     assert np.max(np.abs(res)) < 1e-12
 
@@ -200,11 +193,48 @@ def test_calibration_bits_are_pinned_across_the_cube(point, c2_hex, f_bar_hex):
     assert (float(coefs.c2).hex(), float(band.f_hi).hex()) == (c2_hex, f_bar_hex)
 
 
+# SHA-256 of the calibration records of 64 OU points drawn log-uniformly over
+# the benchmark cube (alpha, rho, sigma, e_bar), recorded before the jet lost
+# its even Kummer family. A point's record is its error class name, or the
+# float.hex of c2, f_bar, the value and slope at f_bar, and the ODE residual
+# on 41 nodes across the band.
+DESIGN_CUBE_LO = (0.5, 1e-4, 0.01, 0.001)
+DESIGN_CUBE_HI = (50.0, 20.0, 0.3, 0.2)
+PINNED_DESIGN_SHA256 = "718ef78d7fd02d1ca799c1be0ff24f89e4fc76bb6852ca87e80f788756a4694c"
+
+
+def _design_records():
+    # math.exp on Python floats: numpy's SIMD exp may round differently by CPU.
+    logs = [(math.log(lo), math.log(hi)) for lo, hi in zip(DESIGN_CUBE_LO, DESIGN_CUBE_HI)]
+    for u in np.random.default_rng(20_261).random((64, 4)).tolist():
+        alpha, rho, sigma, e_bar = (math.exp(lo + x * (hi - lo)) for x, (lo, hi) in zip(u, logs))
+        params = ModelParams(alpha, rho, sigma)
+        try:
+            coefs, band = calibrate_symmetric(params, e_bar)
+        except TargetZoneError as exc:
+            yield type(exc).__name__
+            continue
+        nodes = np.linspace(band.f_lo, band.f_hi, 41)
+        floats = [
+            coefs.c2,
+            band.f_hi,
+            eval_stationary(params, coefs, band.f_hi),
+            eval_stationary_slope(params, coefs, band.f_hi),
+            *stationary_ode_residual(params, coefs, nodes).tolist(),
+        ]
+        yield " ".join(float(x).hex() for x in floats)
+
+
+def test_calibration_bits_are_pinned_over_a_design():
+    records = list(_design_records())
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == PINNED_DESIGN_SHA256
+
+
 def test_calibration_matches_bisection_oracle(calibrated):
     # Frozen oracle: eliminate c2 from the slope equation, bisect the value
     # equation (scripts/gen_reference_values.py).
     coefs, band = calibrated
-    assert coefs.c1 == 0.0
     assert coefs.c2 == pytest.approx(OU_C2, rel=1e-12)
     assert band.f_hi == pytest.approx(OU_F_BAR, rel=1e-12)
     assert band.f_lo == -band.f_hi
@@ -320,6 +350,20 @@ def test_bm_residuals_and_shape():
     slope0 = eval_stationary_bm_slope(coefs, 0.0)
     assert slope0 == pytest.approx(1.0 + 2.0 * coefs.a_coef * coefs.lam, rel=1e-14)
     assert slope0 < 1.0
+
+
+def test_bm_matches_the_hyperbolic_closed_form():
+    # f + a*(e^{lf} - e^{-lf}) = f - sinh(lf)/(l*cosh(l*f_bar)), evaluated as
+    # e^{l(|f| - f_bar)} ratios, inside the band and out of it.
+    coefs, band = calibrate_bm(3.0, 0.1, 0.01)
+    lam, f_bar = coefs.lam, band.f_hi
+    assert coefs.f_bar == f_bar
+    for f in [*np.linspace(-f_bar, f_bar, 21).tolist(), 0.5, -1.0]:
+        value = f - math.sinh(lam * f) / (lam * math.cosh(lam * f_bar))
+        slope = 1.0 - math.cosh(lam * f) / math.cosh(lam * f_bar)
+        assert eval_stationary_bm(coefs, f) == pytest.approx(value, rel=1e-14, abs=1e-17)
+        assert eval_stationary_bm_slope(coefs, f) == pytest.approx(slope, rel=1e-13, abs=1e-15)
+        assert eval_stationary_bm(coefs, -f) == -eval_stationary_bm(coefs, f)
 
 
 def test_bm_requires_positive_arguments():
