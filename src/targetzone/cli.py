@@ -230,13 +230,20 @@ def cmd_figure(which: int, config: RunConfig) -> int:
 
 
 def _write_fig4(out: str, config: RunConfig) -> list[str]:
-    """One stationary curve per model tag, each on its own calibrated band."""
+    """One stationary curve per model tag, each on its own calibrated band.
+
+    Every curve is calibrated before any file is written, so a failed
+    calibration leaves no partial set behind.
+    """
     p = config.params
     stem = Path(out)
     written: list[str] = []
     # BM first, then one mean-reverting curve per rho; all on mu = 0.
-    for rho in (0.0, *config.rho_list):
-        model = _calibrated_band(ModelParams(p.alpha, rho, p.sigma, 0.0, p.horizon), config.e_bar)
+    models = [
+        _calibrated_band(ModelParams(p.alpha, rho, p.sigma, 0.0, p.horizon), config.e_bar)
+        for rho in (0.0, *config.rho_list)
+    ]
+    for model in models:
         f_grid = np.linspace(model.band.f_lo, model.band.f_hi, _FIG4_CURVE_POINTS)
         path = stem.with_name(f"{stem.stem}_{model.tag}{stem.suffix or '.csv'}")
         write_csv(

@@ -23,13 +23,16 @@ prefix-stable in n_paths.
 
 The estimator streams that noise in chunks of 64 steps instead of drawing a
 block's whole (n_steps, 8192) array, so its noise memory depends on neither
-n_steps nor n_paths. It runs as a two-stage pipeline: a thread pool, one
-worker per CPU in the process's affinity mask (at most four), draws and
-scales the next chunk of a group of that many blocks (numpy releases the GIL
-while it fills), while the calling thread advances all lanes of the group
-over the current chunk. Each lane reads the same stream positions whatever
-the chunk size, group size or thread count, so estimates are identical to
-the last bit on any machine.
+n_steps nor n_paths. One job loop runs it: a job is one 64-step chunk of a
+group of blocks, as many blocks as the process has CPUs in its affinity mask
+(at most four). A thread pool with one worker per block of a group draws
+and scales the next job's noise (numpy releases the GIL while it fills),
+while the calling thread advances all lanes of the group over the current
+job's chunk. The noise stage draws only rows; at f0 = 0 each row drives a
+pair of antithetic paths, and the kernel subtracts the row from the second
+lane of the pair. Each lane reads the same stream positions whatever the
+chunk size, group size or thread count, so estimates are identical to the
+last bit on any machine.
 """
 
 from __future__ import annotations
@@ -99,30 +102,23 @@ class McEstimate:
 
 
 def check_mc_settings(
-    f0: float | None,
-    t: float | None,
-    n_paths: int,
-    dt: float,
-    seed: int,
-    antithetic: bool | None = None,
-) -> bool:
-    """Check the Monte-Carlo settings that do not need the band; return `antithetic`.
+    f0: float | None, t: float | None, n_paths: int, dt: float, seed: int
+) -> None:
+    """Check the Monte-Carlo settings that do not need the band.
 
-    A ``None`` t is not checked. The ``antithetic`` default is True exactly
-    when f0 == 0. Errors carry the run-setting key (t, paths, dt, seed).
+    A ``None`` t is not checked. At f0 == 0 paths are paired antithetically,
+    so n_paths must be even there. Errors carry the run-setting key (t,
+    paths, dt, seed).
     """
     if t is not None and not 0 <= t < math.inf:
         raise ParameterError(f"t must be non-negative and finite, got {t}", key="t")
     if n_paths < MIN_PATHS:
         raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}", key="paths")
     _check_step_and_seed(dt, seed)
-    if antithetic is None:
-        antithetic = f0 == 0.0
-    if antithetic and n_paths % 2:
+    if f0 == 0.0 and n_paths % 2:
         raise ParameterError(
             f"antithetic pairing needs an even n_paths, got {n_paths}", key="paths"
         )
-    return antithetic
 
 
 def _check_band_point(band: Band, f0: float) -> None:
@@ -189,69 +185,16 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _fill_chunk(
-    rng: np.random.Generator,
-    draw: np.ndarray,
-    plus: np.ndarray,
-    minus: np.ndarray | None,
-    sigma_dt: float,
+    rng: np.random.Generator, draw: np.ndarray, out: np.ndarray, sigma_dt: float
 ) -> None:
-    """Draw one block's next chunk into ``draw`` and scale it into its lanes.
+    """Draw one block's next chunk into ``draw`` and scale its used columns into ``out``.
 
     ``draw`` spans the full block width, so the stream advances exactly as a
-    single full-block draw would; only the block's first ``plus.shape[1]``
-    columns are used. ``minus`` receives the negated noise of antithetic lanes.
+    single full-block draw would; only the block's first ``out.shape[1]``
+    columns are used.
     """
     rng.standard_normal(out=draw)
-    np.multiply(draw[:, : plus.shape[1]], sigma_dt, out=plus)
-    if minus is not None:
-        np.negative(plus, out=minus)
-
-
-def _noise_chunks(pool, seed, n_rows, n_steps, sigma_dt, width, group):
-    """Yield ``(lo, rows, k0, shocks)``: scaled noise of steps k0.. for rows lo..lo+rows.
-
-    Rows are taken ``group`` blocks at a time. ``shocks`` has one column per
-    lane: the plus lanes of the rows and, for ``width`` 2 (antithetic), their
-    minus lanes after them. The pool fills the next chunk into the other of two
-    buffers while the caller uses the one yielded, which it must be done with
-    before asking for the next.
-    """
-    buffers = [np.empty((_CHUNK, width * min(n_rows, group * _BLOCK))) for _ in range(2)]
-    draws = [np.empty((_CHUNK, _BLOCK)) for _ in range(group)]
-
-    def items():
-        for lo in range(0, n_rows, group * _BLOCK):
-            rows = min(group * _BLOCK, n_rows - lo)
-            rngs = [_block_rng(seed, b) for b in range(lo // _BLOCK, -(-(lo + rows) // _BLOCK))]
-            for k0 in range(0, n_steps, _CHUNK):
-                yield lo, rows, k0, rngs
-
-    def submit(i, item):
-        lo, rows, k0, rngs = item
-        shocks = buffers[i % 2][: min(_CHUNK, n_steps - k0), : width * rows]
-        futures = []
-        for slot, rng in enumerate(rngs):
-            col = slot * _BLOCK
-            cols = min(_BLOCK, rows - col)
-            plus = shocks[:, col : col + cols]
-            minus = shocks[:, rows + col : rows + col + cols] if width == 2 else None
-            draw = draws[slot][: len(shocks)]
-            futures.append(pool.submit(_fill_chunk, rng, draw, plus, minus, sigma_dt))
-        return (lo, rows, k0, shocks), futures
-
-    def ready(pending):
-        chunk, futures = pending
-        for future in futures:
-            future.result()
-        return chunk
-
-    work = enumerate(items())
-    pending = submit(*next(work))
-    for i, item in work:
-        chunk = ready(pending)
-        pending = submit(i, item)
-        yield chunk
-    yield ready(pending)
+    np.multiply(draw[:, : out.shape[1]], sigma_dt, out=out)
 
 
 def _integrate_block(
@@ -265,8 +208,10 @@ def _integrate_block(
 ) -> None:
     """Advance lanes ``f`` and their discounted trapezoidal integrals ``acc`` in place.
 
-    ``shocks`` is step-major, shape (n_steps, n_lanes), so each step reads a
-    contiguous row; ``weights`` holds the trapezoid weight of each step's end.
+    ``f`` has shape (width, rows). ``shocks`` is step-major, shape
+    (n_steps, rows), so each step reads a contiguous row: it drives ``f[0]``,
+    and the antithetic lanes ``f[1:]`` subtract it (x - s is x + (-s) to the
+    bit). ``weights`` holds the trapezoid weight of each step's end.
     """
     decay = 1.0 - params.rho * dt
     pull = params.rho * dt * params.mu
@@ -275,7 +220,8 @@ def _integrate_block(
     for k in range(len(shocks)):
         f *= decay
         f += pull
-        f += shocks[k]
+        f[0] += shocks[k]
+        f[1:] -= shocks[k]
         # Symmetrized Euler: mirror the overshoot back inside; the final clip
         # only guards a (physically unreachable) jump across the whole band.
         np.subtract(two_hi, f, out=f, where=f > band.f_hi)
@@ -292,22 +238,22 @@ def feynman_kac_estimate(
     n_paths: int,
     dt: float,
     seed: int,
-    antithetic: bool | None = None,
 ) -> McEstimate:
     """Monte-Carlo value of the discounted-fundamental integral at (t, f0).
 
     Parameters
     ----------
     t : time remaining; the integral runs over [0, t] with weight exp(-s/alpha)/alpha.
-    n_paths : at least MIN_PATHS; with antithetic pairing it must be even.
+    n_paths : at least MIN_PATHS, and even at f0 == 0.
     dt : nominal step; the actual step is t/round(t/dt) so the grid ends at t.
-    antithetic : pair each even path with the negated noise of its predecessor;
-        defaults to True exactly when f0 == 0 (where pairing cancels the mean
-        error by symmetry). Pairing changes only the noise assignment; the
-        mean and standard error are always computed over per-path integrals.
+
+    Pairing follows f0: at f0 == 0, and only there, each odd path takes the
+    negated noise of the even path before it, which cancels the mean error by
+    symmetry. Pairing changes only the noise assignment; the mean and
+    standard error are always computed over per-path integrals.
     """
     _check_band_point(band, f0)
-    antithetic = check_mc_settings(f0, t, n_paths, dt, seed, antithetic)
+    check_mc_settings(f0, t, n_paths, dt, seed)
 
     if t == 0.0:
         return McEstimate(0.0, 0.0, n_paths, seed)
@@ -320,23 +266,52 @@ def feynman_kac_estimate(
     weights[-1] *= 0.5
 
     sigma_dt = params.sigma * math.sqrt(step)
-    width = 2 if antithetic else 1
+    width = 2 if f0 == 0.0 else 1
     n_rows = n_paths // width
-    group = min(_cpu_count(), _MAX_GROUP, -(-n_rows // _BLOCK))
+    n_blocks = -(-n_rows // _BLOCK)
+    group = min(_cpu_count(), _MAX_GROUP, n_blocks)
+    span = group * _BLOCK
+    jobs = [(lo, k0) for lo in range(0, n_rows, span) for k0 in range(0, n_steps, _CHUNK)]
+    rngs = [_block_rng(seed, b) for b in range(n_blocks)]
+    buffers = [np.empty((_CHUNK, min(n_rows, span))) for _ in range(2)]
+    draws = [np.empty((_CHUNK, _BLOCK)) for _ in range(group)]
+    # Row i holds path i, or with pairing paths 2i (plus lane) and 2i + 1 (minus lane).
+    samples = np.empty((n_rows, width))
 
-    samples = np.empty(n_paths)
     with ThreadPoolExecutor(max_workers=group) as pool:
-        chunks = _noise_chunks(pool, seed, n_rows, n_steps, sigma_dt, width, group)
-        for lo, rows, k0, shocks in chunks:
+
+        def fill(i):
+            """Submit job i's draws into buffer i % 2; return its shocks and futures."""
+            lo, k0 = jobs[i]
+            shocks = buffers[i % 2][: min(_CHUNK, n_steps - k0), : min(span, n_rows - lo)]
+            return shocks, [
+                pool.submit(
+                    _fill_chunk,
+                    rngs[lo // _BLOCK + slot],
+                    draws[slot][: len(shocks)],
+                    shocks[:, col : col + _BLOCK],
+                    sigma_dt,
+                )
+                for slot, col in enumerate(range(0, shocks.shape[1], _BLOCK))
+            ]
+
+        pending = fill(0)
+        for i, (lo, k0) in enumerate(jobs):
+            shocks, futures = pending
+            for future in futures:
+                future.result()
+            if i + 1 < len(jobs):
+                pending = fill(i + 1)
+            rows = shocks.shape[1]
             if k0 == 0:
-                f = np.full(shocks.shape[1], f0)
+                f = np.full((width, rows), f0)
                 acc = weights[0] * f
             k1 = k0 + len(shocks)
             _integrate_block(params, band, f, acc, shocks, step, weights[k0 + 1 : k1 + 1])
             if k1 == n_steps:
-                # Antithetic path 2i is row i's plus lane, path 2i + 1 its minus lane.
-                samples[width * lo : width * (lo + rows)] = acc.reshape(width, rows).T.ravel()
+                samples[lo : lo + rows] = acc.T
 
+    samples = samples.ravel()
     mean = float(np.mean(samples))
     std_error = float(np.std(samples, ddof=1) / math.sqrt(n_paths))
     return McEstimate(mean, std_error, n_paths, seed)

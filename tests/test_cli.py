@@ -293,6 +293,15 @@ def test_figure4_curves_and_convergence(tmp_path, capsys):
     assert np.max(np.abs(ou_on_bm - bm_rows[:, 1])) < 1e-3
 
 
+def test_figure4_calibration_failure_writes_no_files(tmp_path, capsys):
+    # The BM curve calibrates at this e_bar and the OU rho = 1 curve does not;
+    # its file used to be written before the OU failure.
+    out = tmp_path / "x.csv"
+    assert main(["figure", "--which", "4", "--e-bar", "86.82", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_output_failure_is_reported(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "f.csv"
     assert main(["figure", "--which", "3", *FAST, "--out", str(missing_dir)]) == 1

@@ -167,19 +167,21 @@ def test_infinite_path_step_raises_with_key(base_params, calibrated):
 # ---------------------------------------------------------------------------
 
 # Two full Philox blocks and a partial third, plain and antithetic, at
-# (t, antithetic, n_paths, seed): the estimates of the full-block draw that
-# the chunked pipeline must reproduce to the last bit. t = 0.2 spans three
-# full noise chunks of 64 steps and a partial fourth.
+# (t, f0 / f_bar, n_paths, seed): the estimates of the full-block draw that
+# the chunked pipeline must reproduce to the last bit. f0 = 0 pairs the paths
+# antithetically, so its mean is exactly zero unless a minus lane takes the
+# wrong sign. t = 0.2 spans three full noise chunks of 64 steps and a
+# partial fourth.
 MULTI_BLOCK = {
-    (0.05, False, 2 * 8192 + 300, 11): ("0.0007121281818135429", "1.602495129960304e-06"),
-    (0.05, True, 2 * (8192 + 150), 12): ("0.0007137433963129811", "1.588171246693452e-06"),
-    (0.2, False, 2 * 8192 + 300, 13): ("0.0024794079882772394", "1.0556780321587538e-05"),
-    (0.2, True, 2 * (8192 + 150), 14): ("0.002484237353943728", "1.0480625119575518e-05"),
+    (0.05, 0.5, 2 * 8192 + 300, 11): ("0.0007121281818135429", "1.602495129960304e-06"),
+    (0.05, 0.0, 2 * (8192 + 150), 12): ("0.0", "1.6059489039610614e-06"),
+    (0.2, 0.5, 2 * 8192 + 300, 13): ("0.0024794079882772394", "1.0556780321587538e-05"),
+    (0.2, 0.0, 2 * (8192 + 150), 14): ("0.0", "1.15575834071284e-05"),
 }
 
 
-def _multi_block_estimate(params, band, t, antithetic, n_paths, seed):
-    return feynman_kac_estimate(params, band, 0.5 * band.f_hi, t, n_paths, 1e-3, seed, antithetic)
+def _multi_block_estimate(params, band, t, fraction, n_paths, seed):
+    return feynman_kac_estimate(params, band, fraction * band.f_hi, t, n_paths, 1e-3, seed)
 
 
 @pytest.mark.parametrize(("case", "pinned"), MULTI_BLOCK.items())
@@ -200,16 +202,20 @@ def test_estimate_does_not_depend_on_the_cpu_count(
     assert (est.mean, est.std_error) == (default.mean, default.std_error)
 
 
-def test_noise_memory_does_not_grow_with_the_horizon(base_params, calibrated):
-    # A full-block draw of 1000 steps held about 130 MB of noise.
+@pytest.mark.parametrize(
+    ("fraction", "bound"), [(0.5, 32e6), (0.0, 16e6)], ids=["plain", "paired"]
+)
+def test_noise_memory_does_not_grow_with_the_horizon(base_params, calibrated, fraction, bound):
+    # A full-block draw of 1000 steps held about 130 MB of noise. At f0 = 0
+    # the 16384 paths are 8192 antithetic pairs, and only the rows are drawn.
     _, band = calibrated
     tracemalloc.start()
     try:
-        feynman_kac_estimate(base_params, band, 0.5 * band.f_hi, 1.0, 16384, 1e-3, seed=3)
+        feynman_kac_estimate(base_params, band, fraction * band.f_hi, 1.0, 16384, 1e-3, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < bound
 
 
 
@@ -277,7 +283,7 @@ def test_estimate_validation(base_params, calibrated):
     with pytest.raises(ParameterError, match="t "):
         feynman_kac_estimate(base_params, band, 0.0, -1.0, 1000, 1e-3, seed=1)
     with pytest.raises(ParameterError, match="even"):
-        feynman_kac_estimate(base_params, band, 0.0, 1.0, 1001, 1e-3, seed=1, antithetic=True)
+        feynman_kac_estimate(base_params, band, 0.0, 1.0, 1001, 1e-3, seed=1)
 
 
 @pytest.mark.parametrize(
