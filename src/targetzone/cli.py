@@ -96,7 +96,7 @@ def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
             band,
             lambda f: eval_stationary_bm(bm, f),
             lambda f: eval_stationary_bm_slope(bm, f),
-            [("model", "bm"), ("lambda", bm.lam), ("a_coef", bm.a_coef)],
+            [("model", "bm"), ("lambda", bm.lam)],
             "bm",
         )
     coefs, band = calibrate_symmetric(params, e_bar)

@@ -94,9 +94,7 @@ def _validated(settings: dict[str, object]) -> RunConfig:
         horizon=settings["horizon"],
     )
     grid = GridSpec(nf=settings["nf"], nt=settings["nt"], theta=settings["theta"])
-    check_mc_settings(
-        settings["f0"], settings["t"], settings["paths"], settings["dt"], settings["seed"]
-    )
+    check_mc_settings(settings["t"], settings["paths"], settings["dt"], settings["seed"])
 
     return RunConfig(
         params=params,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-count check."""
+
+import operator
 
 
 class TargetZoneError(Exception):
@@ -14,6 +16,14 @@ class ParameterError(TargetZoneError, ValueError):
 
 
 ConfigError = ParameterError  # an alias: config-file and flag errors are parameter errors
+
+
+def check_count(value: object, key: str) -> None:
+    """Raise ParameterError with ``key`` unless ``value`` is an integer (not a float)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"must be an integer, got {value!r}", key) from None
 
 
 class ConvergenceError(TargetZoneError, RuntimeError):

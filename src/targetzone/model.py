@@ -73,7 +73,6 @@ class StationaryCoefficients:
 class BmStationaryCoefficients:
     """Brownian-motion reference f + a*(e^{lf} - e^{-lf}); evaluated from lam and f_bar."""
 
-    a_coef: float
     lam: float
     f_bar: float
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import InstabilityError, ParameterError, SingularSystemError
+from .errors import InstabilityError, ParameterError, SingularSystemError, check_count
 from .model import Band, ModelParams
 
 # Probe fractions for the self-convergence diagnostics. Off-center in f:
@@ -54,6 +54,8 @@ class GridSpec:
     theta: float = 0.5
 
     def __post_init__(self):
+        check_count(self.nf, "nf")
+        check_count(self.nt, "nt")
         if self.nf < 3:
             raise ParameterError(f"nf must be at least 3, got {self.nf}", "nf")
         if self.nt < 1:

@@ -212,9 +212,10 @@ def calibrate_symmetric(
 def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationaryCoefficients, Band]:
     """Brownian-motion reference band: e(f) = f + a*(e^{lf} - e^{-lf}).
 
-    Smooth pasting fixes a = -1/(2l*cosh(l*f_bar)) = -w/(l*(1 + w^2)), w = e^{-l*f_bar},
-    and f_bar as the unique positive root of f_bar - tanh(l*f_bar)/l = e_bar,
-    l = sqrt(2/(alpha*sigma^2)). l must be a positive finite float (key alpha).
+    Smooth pasting fixes a = -1/(2l*cosh(l*f_bar)), which the evaluators form
+    from lam and f_bar, and f_bar as the unique positive root of
+    f_bar - tanh(l*f_bar)/l = e_bar, l = sqrt(2/(alpha*sigma^2)). l must be a
+    positive finite float (key alpha).
     """
     ModelParams(alpha, 0.0, sigma)  # checks alpha and sigma
     check_e_bar(e_bar)
@@ -231,9 +232,7 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
         f_bar = brentq(gap, 0.0, e_bar + 1.0 / lam, xtol=1e-16, rtol=8.9e-16)
     except ValueError as exc:
         raise CalibrationError(f"no smooth-pasting root for e_bar={e_bar}") from exc
-    w = math.exp(-lam * f_bar)
-    coefs = BmStationaryCoefficients(-w / (lam * (1.0 + w * w)), lam, f_bar)
-    return coefs, Band(-f_bar, f_bar, -e_bar, e_bar)
+    return BmStationaryCoefficients(lam, f_bar), Band(-f_bar, f_bar, -e_bar, e_bar)
 
 
 def _bm_edge_ratio(coefs: BmStationaryCoefficients, f: float, sign: float) -> float:

@@ -27,12 +27,10 @@ n_steps nor n_paths. One job loop runs it: a job is one 64-step chunk of a
 group of blocks, as many blocks as the process has CPUs in its affinity mask
 (at most four). A thread pool with one worker per block of a group draws
 and scales the next job's noise (numpy releases the GIL while it fills),
-while the calling thread advances all lanes of the group over the current
-job's chunk. The noise stage draws only rows; at f0 = 0 each row drives a
-pair of antithetic paths, and the kernel subtracts the row from the second
-lane of the pair. Each lane reads the same stream positions whatever the
-chunk size, group size or thread count, so estimates are identical to the
-last bit on any machine.
+while the calling thread advances all paths of the group over the current
+job's chunk. Each path reads the same stream positions whatever the chunk
+size, group size or thread count, so estimates are identical to the last
+bit on any machine.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 from .model import Band, ModelParams
 
 _BLOCK = 8192  # noise rows per Philox substream; part of the reproducibility contract
@@ -56,6 +54,9 @@ _CHUNK = 64  # steps per streamed noise chunk; does not change any result
 # more noise memory.
 _MAX_GROUP = 4
 MIN_PATHS = 100  # fewest paths for which the standard error is reported
+# Most time steps of a path or an estimate; each holds a few arrays of one
+# float per step, so beyond this a typo like dt = 1e-320 would exhaust memory.
+MAX_STEPS = 10**8
 
 
 def _check_step_and_seed(dt: float, seed: int) -> None:
@@ -63,6 +64,7 @@ def _check_step_and_seed(dt: float, seed: int) -> None:
     if not 0 < dt < math.inf:
         raise ParameterError(f"dt must be positive and finite, got {dt}", key="dt")
     # The Philox key of a Monte-Carlo block is the two uint64 words [seed, block].
+    check_count(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be in [0, 2**64), got {seed}", key="seed")
 
@@ -78,8 +80,11 @@ class PathSpec:
 
     def __post_init__(self):
         _check_step_and_seed(self.dt, self.seed)
-        if self.n_steps < 1:
-            raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}", key="n_steps")
+        check_count(self.n_steps, "n_steps")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ParameterError(
+                f"n_steps must lie in [1, {MAX_STEPS:.0e}], got {self.n_steps}", key="n_steps"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,24 +106,20 @@ class McEstimate:
     seed: int
 
 
-def check_mc_settings(
-    f0: float | None, t: float | None, n_paths: int, dt: float, seed: int
-) -> None:
+def check_mc_settings(t: float | None, n_paths: int, dt: float, seed: int) -> None:
     """Check the Monte-Carlo settings that do not need the band.
 
-    A ``None`` t is not checked. At f0 == 0 paths are paired antithetically,
-    so n_paths must be even there. Errors carry the run-setting key (t,
-    paths, dt, seed).
+    A ``None`` t is not checked. Errors carry the run-setting key (t, paths,
+    dt, seed); a step count t/dt beyond MAX_STEPS is a ``dt`` error.
     """
     if t is not None and not 0 <= t < math.inf:
         raise ParameterError(f"t must be non-negative and finite, got {t}", key="t")
+    check_count(n_paths, "paths")
     if n_paths < MIN_PATHS:
         raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}", key="paths")
     _check_step_and_seed(dt, seed)
-    if f0 == 0.0 and n_paths % 2:
-        raise ParameterError(
-            f"antithetic pairing needs an even n_paths, got {n_paths}", key="paths"
-        )
+    if t is not None and not t / dt <= MAX_STEPS:
+        raise ParameterError(f"t/dt = {t / dt:.3g} steps exceeds {MAX_STEPS:.0e}", key="dt")
 
 
 def _check_band_point(band: Band, f0: float) -> None:
@@ -206,12 +207,11 @@ def _integrate_block(
     dt: float,
     weights: np.ndarray,
 ) -> None:
-    """Advance lanes ``f`` and their discounted trapezoidal integrals ``acc`` in place.
+    """Advance paths ``f`` and their discounted trapezoidal integrals ``acc`` in place.
 
-    ``f`` has shape (width, rows). ``shocks`` is step-major, shape
-    (n_steps, rows), so each step reads a contiguous row: it drives ``f[0]``,
-    and the antithetic lanes ``f[1:]`` subtract it (x - s is x + (-s) to the
-    bit). ``weights`` holds the trapezoid weight of each step's end.
+    ``f`` has shape (rows,). ``shocks`` is step-major, shape (n_steps, rows),
+    so each step reads a contiguous row. ``weights`` holds the trapezoid
+    weight of each step's end.
     """
     decay = 1.0 - params.rho * dt
     pull = params.rho * dt * params.mu
@@ -220,8 +220,7 @@ def _integrate_block(
     for k in range(len(shocks)):
         f *= decay
         f += pull
-        f[0] += shocks[k]
-        f[1:] -= shocks[k]
+        f += shocks[k]
         # Symmetrized Euler: mirror the overshoot back inside; the final clip
         # only guards a (physically unreachable) jump across the whole band.
         np.subtract(two_hi, f, out=f, where=f > band.f_hi)
@@ -244,16 +243,11 @@ def feynman_kac_estimate(
     Parameters
     ----------
     t : time remaining; the integral runs over [0, t] with weight exp(-s/alpha)/alpha.
-    n_paths : at least MIN_PATHS, and even at f0 == 0.
+    n_paths : at least MIN_PATHS.
     dt : nominal step; the actual step is t/round(t/dt) so the grid ends at t.
-
-    Pairing follows f0: at f0 == 0, and only there, each odd path takes the
-    negated noise of the even path before it, which cancels the mean error by
-    symmetry. Pairing changes only the noise assignment; the mean and
-    standard error are always computed over per-path integrals.
     """
     _check_band_point(band, f0)
-    check_mc_settings(f0, t, n_paths, dt, seed)
+    check_mc_settings(t, n_paths, dt, seed)
 
     if t == 0.0:
         return McEstimate(0.0, 0.0, n_paths, seed)
@@ -266,24 +260,21 @@ def feynman_kac_estimate(
     weights[-1] *= 0.5
 
     sigma_dt = params.sigma * math.sqrt(step)
-    width = 2 if f0 == 0.0 else 1
-    n_rows = n_paths // width
-    n_blocks = -(-n_rows // _BLOCK)
+    n_blocks = -(-n_paths // _BLOCK)
     group = min(_cpu_count(), _MAX_GROUP, n_blocks)
     span = group * _BLOCK
-    jobs = [(lo, k0) for lo in range(0, n_rows, span) for k0 in range(0, n_steps, _CHUNK)]
+    jobs = [(lo, k0) for lo in range(0, n_paths, span) for k0 in range(0, n_steps, _CHUNK)]
     rngs = [_block_rng(seed, b) for b in range(n_blocks)]
-    buffers = [np.empty((_CHUNK, min(n_rows, span))) for _ in range(2)]
+    buffers = [np.empty((_CHUNK, min(n_paths, span))) for _ in range(2)]
     draws = [np.empty((_CHUNK, _BLOCK)) for _ in range(group)]
-    # Row i holds path i, or with pairing paths 2i (plus lane) and 2i + 1 (minus lane).
-    samples = np.empty((n_rows, width))
+    samples = np.empty(n_paths)
 
     with ThreadPoolExecutor(max_workers=group) as pool:
 
         def fill(i):
             """Submit job i's draws into buffer i % 2; return its shocks and futures."""
             lo, k0 = jobs[i]
-            shocks = buffers[i % 2][: min(_CHUNK, n_steps - k0), : min(span, n_rows - lo)]
+            shocks = buffers[i % 2][: min(_CHUNK, n_steps - k0), : min(span, n_paths - lo)]
             return shocks, [
                 pool.submit(
                     _fill_chunk,
@@ -304,14 +295,13 @@ def feynman_kac_estimate(
                 pending = fill(i + 1)
             rows = shocks.shape[1]
             if k0 == 0:
-                f = np.full((width, rows), f0)
+                f = np.full(rows, f0)
                 acc = weights[0] * f
             k1 = k0 + len(shocks)
             _integrate_block(params, band, f, acc, shocks, step, weights[k0 + 1 : k1 + 1])
             if k1 == n_steps:
-                samples[lo : lo + rows] = acc.T
+                samples[lo : lo + rows] = acc
 
-    samples = samples.ravel()
     mean = float(np.mean(samples))
     std_error = float(np.std(samples, ddof=1) / math.sqrt(n_paths))
     return McEstimate(mean, std_error, n_paths, seed)

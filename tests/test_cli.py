@@ -183,10 +183,10 @@ def test_simulate_too_few_paths_fails_with_key(capsys):
     assert capsys.readouterr().err.startswith("error: paths")
 
 
-def test_simulate_odd_paths_at_center_fails_with_key(capsys):
-    # f0 = 0 pairs paths antithetically, which needs an even path count.
-    assert main(["simulate", "--f0", "0", "--paths", "101", "--dt", "0.01", "--t", "0.1"]) == 1
-    assert capsys.readouterr().err.startswith("error: paths")
+def test_simulate_odd_paths_at_center_succeeds(capsys):
+    # Every path has its own noise at the centre too, so any count of at least 100 runs.
+    assert main(["simulate", "--f0", "0", "--paths", "101", "--dt", "0.01", "--t", "0.1"]) == 0
+    assert _field(capsys.readouterr().out, "paths") == "101"
 
 
 def test_simulate_seed_beyond_uint64_fails_with_key(capsys):

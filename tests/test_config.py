@@ -64,7 +64,7 @@ def test_invariant_violation_names_the_key():
     with pytest.raises(ConfigError, match="seed"):
         parse_config("seed = -4")
     with pytest.raises(ConfigError, match="paths"):
-        parse_config("f0 = 0\npaths = 101")
+        parse_config("paths = 50")
 
 
 def test_malformed_line_is_an_error():

@@ -10,6 +10,7 @@ from targetzone import (
     BmStationaryCoefficients,
     ConfigError,
     ConvergenceError,
+    GridSpec,
     ModelParams,
     ParameterError,
     PathSpec,
@@ -23,6 +24,7 @@ from targetzone import (
     eval_stationary_bm_slope,
     eval_stationary_curvature,
     eval_stationary_slope,
+    feynman_kac_estimate,
     kummer_m,
     slice_at,
 )
@@ -32,6 +34,7 @@ REFERENCE = ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
 REFERENCE_COEFS = StationaryCoefficients(0.0093)
 BM_REFERENCE_COEFS = calibrate_bm(3.0, 0.1, 0.01)[0]
 HUGE_SIGMA = ModelParams(alpha=3.0, rho=1.0, sigma=1e62)
+WIDE_BAND = Band(-0.1, 0.1, -0.01, 0.01)
 FLAT_SURFACE = Surface(np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), np.zeros((3, 3)))
 
 
@@ -121,7 +124,7 @@ def test_keyed_error_reads_key_colon_message():
             lambda: Band(-0.1, 0.1, 0.01, -0.01), ParameterError, "e_lo", id="band-e-reversed"
         ),
         pytest.param(
-            lambda: BmStationaryCoefficients(0.0, 0.0, 1.0),
+            lambda: BmStationaryCoefficients(0.0, 1.0),
             ParameterError,
             "lam",
             id="bm-coefs-lam",
@@ -137,6 +140,40 @@ def test_keyed_error_reads_key_colon_message():
         ),
         pytest.param(
             lambda: PathSpec(0.0, 0.001, 0, 1), ParameterError, "n_steps", id="path-n-steps"
+        ),
+        pytest.param(
+            lambda: PathSpec(0.0, 0.001, 10**8 + 1, 1),
+            ParameterError,
+            "n_steps",
+            id="path-n-steps-huge",
+        ),
+        # A float count used to end in an untyped TypeError, and a float seed
+        # was truncated: seed 1.5 returned the seed-1 estimate.
+        pytest.param(lambda: GridSpec(41.0, 30), ParameterError, "nf", id="grid-nf-float"),
+        pytest.param(lambda: GridSpec(41, 30.0), ParameterError, "nt", id="grid-nt-float"),
+        pytest.param(
+            lambda: PathSpec(0.0, 0.001, 10.5, 1), ParameterError, "n_steps", id="path-n-steps-float"
+        ),
+        pytest.param(
+            lambda: PathSpec(0.0, 0.001, 10, 1.5), ParameterError, "seed", id="path-seed-float"
+        ),
+        pytest.param(
+            lambda: feynman_kac_estimate(REFERENCE, WIDE_BAND, 0.0, 1.0, 1000.0, 1e-3, 1),
+            ParameterError,
+            "paths",
+            id="mc-paths-float",
+        ),
+        pytest.param(
+            lambda: feynman_kac_estimate(REFERENCE, WIDE_BAND, 0.0, 1.0, 1000, 1e-3, 1.5),
+            ParameterError,
+            "seed",
+            id="mc-seed-float",
+        ),
+        pytest.param(
+            lambda: feynman_kac_estimate(REFERENCE, WIDE_BAND, 0.0, 1e300, 1000, 1e-3, 1),
+            ParameterError,
+            "dt",
+            id="mc-steps-huge",
         ),
         pytest.param(lambda: kummer_m(1.0, -2.0, 0.5), ParameterError, "b", id="kummer-pole"),
         pytest.param(["calibrate", "--sigma", "1e-170"], None, "sigma", id="cli-sigma-1e-170"),
@@ -156,6 +193,9 @@ def test_keyed_error_reads_key_colon_message():
             ["figure", "--which", "4", "--rho-list", "1e-320"], None, "rho", id="cli-rho-list"
         ),
         pytest.param(["simulate", "--f0", "1"], None, "f0", id="cli-f0-outside"),
+        # t/dt overflowed round(), or its step count overflowed np.arange.
+        pytest.param(["simulate", "--dt", "1e-320"], None, "dt", id="cli-dt-tiny"),
+        pytest.param(["simulate", "--t", "1e300"], None, "dt", id="cli-t-huge"),
     ],
 )
 def test_bad_input_raises_a_typed_error(tmp_path, capsys, case, error, key):

@@ -336,7 +336,9 @@ def test_bm_matches_frozen_oracle():
     coefs, band = calibrate_bm(3.0, 0.1, 0.01)
     assert coefs.lam == pytest.approx(BM_LAMBDA, rel=1e-14)
     assert band.f_hi == pytest.approx(BM_F_BAR, rel=1e-12)
-    assert coefs.a_coef == pytest.approx(BM_A_COEF, rel=1e-12)
+    # e(f) = f + a*(e^{lf} - e^{-lf}) has slope 1 + 2*a*l at 0.
+    slope0 = eval_stationary_bm_slope(coefs, 0.0)
+    assert slope0 == pytest.approx(1.0 + 2.0 * BM_A_COEF * BM_LAMBDA, rel=1e-12)
     assert abs(band.f_hi - 0.0805) < 1e-3   # rough location of the root
 
 
@@ -346,10 +348,11 @@ def test_bm_residuals_and_shape():
     assert abs(eval_stationary_bm_slope(coefs, band.f_hi)) < 1e-10
     assert eval_stationary_bm(coefs, 0.0) == 0.0
     # Smooth pasting forces a < 0 and an interior slope below the free float.
-    assert coefs.a_coef < 0.0
-    slope0 = eval_stationary_bm_slope(coefs, 0.0)
-    assert slope0 == pytest.approx(1.0 + 2.0 * coefs.a_coef * coefs.lam, rel=1e-14)
-    assert slope0 < 1.0
+    assert BM_A_COEF < 0.0
+    for f in np.linspace(-band.f_hi, band.f_hi, 9).tolist():
+        value = f + 2.0 * BM_A_COEF * math.sinh(BM_LAMBDA * f)
+        assert eval_stationary_bm(coefs, f) == pytest.approx(value, rel=1e-11, abs=1e-17)
+    assert eval_stationary_bm_slope(coefs, 0.0) < 1.0
 
 
 def test_bm_matches_the_hyperbolic_closed_form():
