@@ -21,16 +21,11 @@ fixed block being 8192 paths, so every path's randomness is a pure function
 of (seed, path index): estimates do not depend on execution order and are
 prefix-stable in n_paths.
 
-The estimator streams that noise in chunks of 64 steps instead of drawing a
-block's whole (n_steps, 8192) array, so its noise memory depends on neither
-n_steps nor n_paths. One job loop runs it: a job is one 64-step chunk of a
-group of blocks, as many blocks as the process has CPUs in its affinity mask
-(at most four). A thread pool with one worker per block of a group draws
-and scales the next job's noise (numpy releases the GIL while it fills),
-while the calling thread advances all paths of the group over the current
-job's chunk. Each path reads the same stream positions whatever the chunk
-size, group size or thread count, so estimates are identical to the last
-bit on any machine.
+The estimator runs each block as one task on a thread pool of at most four
+workers. A task streams its block's noise in chunks of 64 steps into one
+(64, 8192) scratch array, so noise memory depends on neither n_steps nor
+n_paths. Each path reads the same stream positions whatever the chunk size or
+thread count, so estimates are identical to the last bit on any machine.
 """
 
 from __future__ import annotations
@@ -48,15 +43,16 @@ from .model import Band, ModelParams
 
 _BLOCK = 8192  # noise rows per Philox substream; part of the reproducibility contract
 _CHUNK = 64  # steps per streamed noise chunk; does not change any result
-# Most blocks drawn at once. A draw costs about 2.5 times a kernel step per
-# lane (20 vs 8 ns on a 2-vCPU x86 VM), so beyond about three drawing threads
-# the calling thread's kernel sets the pace and a larger group would only hold
-# more noise memory.
+# Most blocks run at once. Each worker holds a (64, 8192) float scratch of
+# 4.2 MB, so the cap bounds an estimate's noise memory at about 17 MB on any
+# machine.
 _MAX_GROUP = 4
 MIN_PATHS = 100  # fewest paths for which the standard error is reported
 # Most time steps of a path or an estimate; each holds a few arrays of one
 # float per step, so beyond this a typo like dt = 1e-320 would exhaust memory.
 MAX_STEPS = 10**8
+# Most paths of an estimate; its samples take 8 bytes per path.
+MAX_PATHS = 10**8
 
 
 def _check_step_and_seed(dt: float, seed: int) -> None:
@@ -115,8 +111,10 @@ def check_mc_settings(t: float | None, n_paths: int, dt: float, seed: int) -> No
     if t is not None and not 0 <= t < math.inf:
         raise ParameterError(f"t must be non-negative and finite, got {t}", key="t")
     check_count(n_paths, "paths")
-    if n_paths < MIN_PATHS:
-        raise ParameterError(f"n_paths must be at least {MIN_PATHS}, got {n_paths}", key="paths")
+    if not MIN_PATHS <= n_paths <= MAX_PATHS:
+        raise ParameterError(
+            f"n_paths must lie in [{MIN_PATHS}, {MAX_PATHS:.0e}], got {n_paths}", key="paths"
+        )
     _check_step_and_seed(dt, seed)
     if t is not None and not t / dt <= MAX_STEPS:
         raise ParameterError(f"t/dt = {t / dt:.3g} steps exceeds {MAX_STEPS:.0e}", key="dt")
@@ -185,19 +183,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fill_chunk(
-    rng: np.random.Generator, draw: np.ndarray, out: np.ndarray, sigma_dt: float
-) -> None:
-    """Draw one block's next chunk into ``draw`` and scale its used columns into ``out``.
-
-    ``draw`` spans the full block width, so the stream advances exactly as a
-    single full-block draw would; only the block's first ``out.shape[1]``
-    columns are used.
-    """
-    rng.standard_normal(out=draw)
-    np.multiply(draw[:, : out.shape[1]], sigma_dt, out=out)
-
-
 def _integrate_block(
     params: ModelParams,
     band: Band,
@@ -261,46 +246,32 @@ def feynman_kac_estimate(
 
     sigma_dt = params.sigma * math.sqrt(step)
     n_blocks = -(-n_paths // _BLOCK)
-    group = min(_cpu_count(), _MAX_GROUP, n_blocks)
-    span = group * _BLOCK
-    jobs = [(lo, k0) for lo in range(0, n_paths, span) for k0 in range(0, n_steps, _CHUNK)]
-    rngs = [_block_rng(seed, b) for b in range(n_blocks)]
-    buffers = [np.empty((_CHUNK, min(n_paths, span))) for _ in range(2)]
-    draws = [np.empty((_CHUNK, _BLOCK)) for _ in range(group)]
     samples = np.empty(n_paths)
 
-    with ThreadPoolExecutor(max_workers=group) as pool:
+    def run_block(b: int) -> None:
+        """Integrate block b's paths over all steps, one noise chunk at a time.
 
-        def fill(i):
-            """Submit job i's draws into buffer i % 2; return its shocks and futures."""
-            lo, k0 = jobs[i]
-            shocks = buffers[i % 2][: min(_CHUNK, n_steps - k0), : min(span, n_paths - lo)]
-            return shocks, [
-                pool.submit(
-                    _fill_chunk,
-                    rngs[lo // _BLOCK + slot],
-                    draws[slot][: len(shocks)],
-                    shocks[:, col : col + _BLOCK],
-                    sigma_dt,
-                )
-                for slot, col in enumerate(range(0, shocks.shape[1], _BLOCK))
-            ]
-
-        pending = fill(0)
-        for i, (lo, k0) in enumerate(jobs):
-            shocks, futures = pending
-            for future in futures:
-                future.result()
-            if i + 1 < len(jobs):
-                pending = fill(i + 1)
-            rows = shocks.shape[1]
-            if k0 == 0:
-                f = np.full(rows, f0)
-                acc = weights[0] * f
-            k1 = k0 + len(shocks)
+        Each chunk is drawn at the full block width, so the stream advances
+        exactly as a single full-block draw would; only the block's first
+        ``rows`` columns are used.
+        """
+        rng = _block_rng(seed, b)
+        lo = b * _BLOCK
+        rows = min(_BLOCK, n_paths - lo)
+        scratch = np.empty((_CHUNK, _BLOCK))
+        f = np.full(rows, f0)
+        acc = weights[0] * f
+        for k0 in range(0, n_steps, _CHUNK):
+            k1 = min(k0 + _CHUNK, n_steps)
+            draw = scratch[: k1 - k0]
+            rng.standard_normal(out=draw)
+            shocks = draw[:, :rows]
+            shocks *= sigma_dt
             _integrate_block(params, band, f, acc, shocks, step, weights[k0 + 1 : k1 + 1])
-            if k1 == n_steps:
-                samples[lo : lo + rows] = acc
+        samples[lo : lo + rows] = acc
+
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), _MAX_GROUP, n_blocks)) as pool:
+        list(pool.map(run_block, range(n_blocks)))
 
     mean = float(np.mean(samples))
     std_error = float(np.std(samples, ddof=1) / math.sqrt(n_paths))

@@ -65,6 +65,8 @@ def test_invariant_violation_names_the_key():
         parse_config("seed = -4")
     with pytest.raises(ConfigError, match="paths"):
         parse_config("paths = 50")
+    with pytest.raises(ConfigError, match="paths"):
+        parse_config("", [("paths", "1000000000000")])
 
 
 def test_malformed_line_is_an_error():
