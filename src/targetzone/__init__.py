@@ -1,7 +1,7 @@
 """Target-zone exchange-rate model with a terminal entry date.
 
 A mean-reverting fundamental is kept inside a band by marginal interventions
-(regulation) and pulls toward its long-run level in between (intramarginal
+(regulation) and pulls toward central parity in between (intramarginal
 interventions). The package provides the closed-form stationary solution and
 its band calibration, a finite-difference solver for the time-dependent
 problem up to the entry date, a regulated-process Monte-Carlo cross-check,

@@ -72,7 +72,6 @@ def _param_pairs(config: RunConfig) -> list[tuple[str, object]]:
         ("alpha", p.alpha),
         ("rho", p.rho),
         ("sigma", p.sigma),
-        ("mu", p.mu),
         ("e_bar", config.e_bar),
         ("horizon", p.horizon),
     ]
@@ -238,9 +237,9 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
     p = config.params
     stem = Path(out)
     written: list[str] = []
-    # BM first, then one mean-reverting curve per rho; all on mu = 0.
+    # BM first, then one mean-reverting curve per rho.
     models = [
-        _calibrated_band(ModelParams(p.alpha, rho, p.sigma, 0.0, p.horizon), config.e_bar)
+        _calibrated_band(ModelParams(p.alpha, rho, p.sigma, horizon=p.horizon), config.e_bar)
         for rho in (0.0, *config.rho_list)
     ]
     for model in models:

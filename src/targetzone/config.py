@@ -25,12 +25,11 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 # Every run setting: key -> (parser of its text form, default). Config-file
 # keys and CLI flags both come from this table. Defaults reproduce the
-# reference experiment: mu=0, rho=1, sigma=0.1, alpha=3, e_bar=0.01, T=3.
+# reference experiment: rho=1, sigma=0.1, alpha=3, e_bar=0.01, T=3.
 SETTINGS: dict[str, tuple[Callable[[str], object], object]] = {
     "alpha": (float, 3.0),
     "rho": (float, 1.0),
     "sigma": (float, 0.1),
-    "mu": (float, 0.0),
     "e_bar": (float, 0.01),
     "horizon": (float, 3.0),
     "nf": (int, 401),
@@ -90,7 +89,6 @@ def _validated(settings: dict[str, object]) -> RunConfig:
         alpha=settings["alpha"],
         rho=settings["rho"],
         sigma=settings["sigma"],
-        mu=settings["mu"],
         horizon=settings["horizon"],
     )
     grid = GridSpec(nf=settings["nf"], nt=settings["nt"], theta=settings["theta"])

@@ -2,7 +2,7 @@
 
 `kummer_m(a, b, z)` takes plain floats and sums the Taylor series
 sum_{n>=0} (a)_n z^n / ((b)_n n!) on Python floats, to machine precision. The
-model's arguments (a > 0, z = rho*(mu-f)^2/sigma^2 >= 0) give positive terms,
+model's arguments (a > 0, z = rho*f^2/sigma^2 >= 0) give positive terms,
 but z is not small: over the benchmark's parameter cube it reaches 313 at
 calibrated band edges, where the series needs about 470 of its MAX_TERMS
 terms, and 7.8e7 at Newton trial points. Beyond z of about 300 to 340

@@ -15,7 +15,7 @@ class ModelParams:
     alpha    semi-elasticity of the rate to its expected change (years), > 0
     rho      mean-reversion speed of the fundamental (1/years), >= 0
     sigma    fundamental volatility (per sqrt(year)), > 0
-    mu       long-run level of the fundamental
+    mu       must be 0; kept for perfbench's positional call until ROADMAP item 7
     horizon  time to the entry date T (years), > 0
     """
 
@@ -26,10 +26,12 @@ class ModelParams:
     horizon: float = 3.0
 
     def __post_init__(self):
-        for key in ("alpha", "rho", "sigma", "mu", "horizon"):
+        for key in ("alpha", "rho", "sigma", "horizon"):
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ParameterError(f"{key} must be finite, got {value}", key)
+        if self.mu != 0:  # nan included; the band is symmetric about central parity
+            raise ParameterError(f"mu must be 0, got {self.mu}", "mu")
         if not self.alpha > 0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}", "alpha")
         if not self.sigma > 0:

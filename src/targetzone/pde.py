@@ -2,10 +2,10 @@
 
 In time remaining t = T - tau the rate solves
 
-    de/dt + rho*(f - mu) de/df - (sigma^2/2) d2e/df2 + e/alpha = f/alpha
+    de/dt + rho*f de/df - (sigma^2/2) d2e/df2 + e/alpha = f/alpha
 
 on the band with e(0, f) = 0 and zero-slope (smooth pasting) edges. Writing
-the right-hand operator L e = (sigma^2/2) e_ff - rho*(f-mu) e_f - e/alpha and
+the right-hand operator L e = (sigma^2/2) e_ff - rho*f e_f - e/alpha and
 source s = f/alpha, each step solves
 
     (I - theta*dt*L) e_{n+1} = (I + (1-theta)*dt*L) e_n + dt*s
@@ -22,7 +22,7 @@ that has not overflowed yet, or a Crank-Nicolson step so much longer than
 alpha that it overshoots. The advection term uses central differences and
 the Neumann edges use mirror ghost nodes folded into the boundary rows,
 keeping the scheme second order in f. Central advection is monotone while
-the cell Peclet number rho*|f - mu|*df/sigma^2 stays at or below one;
+the cell Peclet number rho*|f|*df/sigma^2 stays at or below one;
 building the operator warns with a RuntimeWarning when it does not.
 """
 
@@ -43,6 +43,8 @@ _PROBE_T_FRACTIONS = (0.5, 0.75, 1.0)
 _PROBE_F_FRACTIONS = (0.30, 0.65, 0.85)
 
 _BLOCK = 64  # time steps marched between finiteness checks; does not change any result
+# Most nodes nf*(nt + 1) of a surface, 0.8 GB of floats; the march allocates them at once.
+MAX_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class GridSpec:
             raise ParameterError(f"nf must be at least 3, got {self.nf}", "nf")
         if self.nt < 1:
             raise ParameterError(f"nt must be at least 1, got {self.nt}", "nt")
+        if int(self.nf) * (int(self.nt) + 1) > MAX_CELLS:  # numpy integers would wrap
+            raise ParameterError(f"nf*(nt+1) = {self.nf}*({self.nt}+1) > {MAX_CELLS:.0e}", "nt")
         if not 0.0 <= self.theta <= 1.0:
             raise ParameterError(f"theta must lie in [0, 1], got {self.theta}", "theta")
 
@@ -82,10 +86,10 @@ def _operator_diagonals(params: ModelParams, band: Band, nf: int):
     f = np.linspace(band.f_lo, band.f_hi, nf)
     df = (band.f_hi - band.f_lo) / (nf - 1)
     diff = 0.5 * params.sigma**2 / df**2
-    adv = params.rho * (f - params.mu) / (2.0 * df)
+    adv = params.rho * f / (2.0 * df)
     # Above a cell Peclet number of one an interior off-diagonal of L is
     # negative and central advection stops being monotone.
-    peclet = params.rho * np.max(np.abs(f[1:-1] - params.mu)) * df / params.sigma**2
+    peclet = params.rho * np.max(np.abs(f[1:-1])) * df / params.sigma**2
     if peclet > 1.0:
         warnings.warn(
             f"cell Peclet number {peclet:.3g} > 1: central advection is not monotone "
@@ -173,9 +177,6 @@ class Slice:
     t: float
     f: np.ndarray
     e: np.ndarray
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.f.tolist(), self.e.tolist()))
 
 
 def slice_at(surface: Surface, t: float) -> Slice:

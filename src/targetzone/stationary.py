@@ -2,15 +2,15 @@
 
 The stationary two-point problem
 
-    (alpha*sigma^2/2) e'' - alpha*rho*(f - mu) e' - e = -f,   e'(f_lo) = e'(f_hi) = 0
+    (alpha*sigma^2/2) e'' - alpha*rho*f e' - e = -f,   e'(f_lo) = e'(f_hi) = 0
 
 has the odd-family solution
 
-    e(f) = c2*(sqrt(rho)*(mu - f)/sigma)*M(a2, 3/2, z) + (alpha*rho*mu + f)/(1 + alpha*rho),
-    z = rho*(mu - f)^2 / sigma^2,   a2 = (1 + alpha*rho)/(2*alpha*rho),
+    e(f) = -c2*(sqrt(rho)*f/sigma)*M(a2, 3/2, z) + f/(1 + alpha*rho),
+    z = rho*f^2 / sigma^2,   a2 = (1 + alpha*rho)/(2*alpha*rho),
 
 where M is the Kummer function. The general solution adds an even term
-c1*M(1/(2*alpha*rho), 1/2, z); on the symmetric band (mu = 0, f_lo = -f_hi)
+c1*M(1/(2*alpha*rho), 1/2, z); on the symmetric band f_lo = -f_hi
 oddness forces c1 = 0, so it is not carried. (c2, f_hi) solve the value and
 smooth-pasting conditions at the upper edge; `calibrate_symmetric` solves
 that 2x2 system by damped Newton with the analytic Jacobian. `calibrate_bm`
@@ -64,7 +64,7 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     The Kummer values M(a2, 3/2, z), M(a2+1, 5/2, z) and M(a2+2, 7/2, z) are
     computed once; the derivatives follow from
     dM(a, b, z)/dz = (a/b) M(a+1, b+1, z) and the chain rule through
-    z(f) = rho*(mu-f)^2/sigma^2.
+    z(f) = rho*f^2/sigma^2.
     """
     rho, sigma = params.rho, params.sigma
     alpha_rho, two_alpha_rho = params.alpha * rho, 2.0 * params.alpha * rho
@@ -82,7 +82,7 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     except OverflowError:
         raise ParameterError(f"rho**2.5 overflows at rho={rho}", "rho") from None
 
-    u = params.mu - f
+    u = 0.0 - f  # not -f: u at f = +0.0 must be +0.0, or the curvature's sign flips
     z = rho * u * u / s2
     m2 = kummer_m(a2, 1.5, z)
     m2p = (a2 / 1.5) * kummer_m(a2 + 1.0, 2.5, z)
@@ -91,7 +91,7 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     h2p = -((sqrt_rho / sigma) * m2 + (2.0 * r15 * u * u / s3) * m2p)
     h2pp = (6.0 * r15 * u / s3) * m2p + (4.0 * r25 * u**3 / s5) * m2pp
 
-    particular = (alpha_rho * params.mu + f) / (1.0 + alpha_rho)
+    particular = f / (1.0 + alpha_rho)
     return _Jet(
         value=coefs.c2 * h2 + particular,
         slope=coefs.c2 * h2p + 1.0 / (1.0 + alpha_rho),
@@ -121,7 +121,7 @@ def stationary_ode_residual(
     coefs: StationaryCoefficients,
     f_grid: Sequence[float],
 ) -> np.ndarray:
-    """Residual (alpha*sigma^2/2) e'' - alpha*rho*(f-mu) e' - e + f on a grid.
+    """Residual (alpha*sigma^2/2) e'' - alpha*rho*f e' - e + f on a grid.
 
     Zero (to roundoff) for any coefficients, because every member of the
     solution family satisfies the stationary equation; the check guards the
@@ -131,7 +131,7 @@ def stationary_ode_residual(
     out = np.empty(len(f_grid))
     for i, f in enumerate(np.asarray(f_grid, dtype=float).tolist()):
         e, ep, epp, _, _ = _jet(params, coefs, f)
-        out[i] = 0.5 * a * s2 * epp - a * r * (f - params.mu) * ep - e + f
+        out[i] = 0.5 * a * s2 * epp - a * r * f * ep - e + f
     return out
 
 
@@ -140,14 +140,12 @@ def calibrate_symmetric(
 ) -> tuple[StationaryCoefficients, Band]:
     """Solve (c2, f_bar) so that e(f_bar) = e_bar and e'(f_bar) = 0.
 
-    Symmetric case only (mu = 0): the band is [-f_bar, f_bar] in
-    the fundamental, [-e_bar, e_bar] in the rate. Damped Newton on the 2x2
-    system with the analytic Jacobian; the step is halved until the residual
-    norm decreases (and f_bar stays positive). Initial guess: the free-float
-    preimage f_bar = (1 + alpha*rho)*e_bar with c2 = 0.
+    The band is [-f_bar, f_bar] in the fundamental, [-e_bar, e_bar] in the
+    rate. Damped Newton on the 2x2 system with the analytic Jacobian; the
+    step is halved until the residual norm decreases (and f_bar stays
+    positive). Initial guess: the free-float preimage
+    f_bar = (1 + alpha*rho)*e_bar with c2 = 0.
     """
-    if params.mu != 0:
-        raise ParameterError("band calibration is implemented for the symmetric case mu = 0", "mu")
     check_e_bar(e_bar)
 
     def trial(c2: float, f_bar: float) -> tuple[_Jet | None, tuple[float, float], float]:

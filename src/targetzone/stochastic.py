@@ -1,6 +1,6 @@
 """Regulated Ornstein-Uhlenbeck simulation and the Feynman-Kac validator.
 
-The fundamental follows df = -rho*(f - mu) dt + sigma dw - dU + dL, where the
+The fundamental follows df = -rho*f dt + sigma dw - dU + dL, where the
 regulators L and U are the minimal pushes keeping f inside [f_lo, f_hi].
 `simulate_regulated_ou` discretizes by Euler-Maruyama followed by projection
 onto the band, booking the clipped amounts into the cumulative regulators.
@@ -157,7 +157,7 @@ def simulate_regulated_ou(
     cum_u = 0.0
     rdt = params.rho * spec.dt
     for k in range(spec.n_steps):
-        raw = f - rdt * (f - params.mu) + shocks[k]
+        raw = f - rdt * f + shocks[k]
         if raw < band.f_lo:
             cum_l += band.f_lo - raw
             f = band.f_lo
@@ -199,12 +199,10 @@ def _integrate_block(
     weight of each step's end.
     """
     decay = 1.0 - params.rho * dt
-    pull = params.rho * dt * params.mu
     two_hi = 2.0 * band.f_hi
     two_lo = 2.0 * band.f_lo
     for k in range(len(shocks)):
         f *= decay
-        f += pull
         f += shocks[k]
         # Symmetrized Euler: mirror the overshoot back inside; the final clip
         # only guards a (physically unreachable) jump across the whole band.

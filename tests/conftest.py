@@ -7,7 +7,7 @@ from targetzone import GridSpec, ModelParams, calibrate_symmetric, solve_nonstat
 @pytest.fixture(scope="session")
 def base_params():
     # Parameter set of the numerical experiment: +/-1% zone, 3-year horizon.
-    return ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.0, horizon=3.0)
+    return ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=3.0)
 
 
 @pytest.fixture(scope="session")

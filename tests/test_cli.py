@@ -66,6 +66,14 @@ def test_calibrate_with_config_file_and_flag_override(tmp_path, capsys):
     assert _field(out, "e_bar") == "0.02"
 
 
+def test_mu_flag_is_refused(capsys):
+    # The band is symmetric about central parity, so there is no mu to set.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["calibrate", "--rho", "0", "--mu", "0.1"])
+    assert excinfo.value.code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
 def test_missing_config_file_fails(capsys):
     assert main(["calibrate", "--config", "/nonexistent/run.cfg"]) == 1
     assert "config" in capsys.readouterr().err
@@ -77,15 +85,18 @@ def test_missing_config_file_fails(capsys):
         (["calibrate", "--rho", "nan"], "rho"),
         (["calibrate", "--alpha", "inf"], "alpha"),
         (["calibrate", "--sigma", "inf"], "sigma"),
-        (["calibrate", "--mu", "nan"], "mu"),
+        (["calibrate", "--config", "mu.cfg"], "mu"),
         (["calibrate", "--e-bar", "inf"], "e_bar"),
         (["solve", "--horizon", "inf"], "horizon"),
         (["figure", "--which", "4", "--rho-list", "nan"], "rho_list"),
     ],
 )
-def test_non_finite_model_setting_fails_with_key(tmp_path, capsys, argv, key):
+def test_non_finite_model_setting_fails_with_key(tmp_path, monkeypatch, capsys, argv, key):
     # These used to fail later with an error that named no key: Kummer
     # non-convergence, a singular Jacobian, a stalled Newton or a PDE blow-up.
+    # mu is no setting, so a config file's mu line is an unknown key.
+    (tmp_path / "mu.cfg").write_text("mu = 0\n")
+    monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ")
@@ -138,9 +149,11 @@ def test_surface_writer_matches_row_formatter_on_awkward_floats(tmp_path):
 
 
 def test_solve_invalid_grid_fails_with_key(capsys):
-    assert main(["solve", "--nt", "0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: nt")
+    # 1e9 steps would need a 2.9 TiB surface: refused before anything is allocated.
+    for nt in ("0", "1000000000"):
+        assert main(["solve", "--nt", nt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nt")
 
 
 # ---------------------------------------------------------------------------

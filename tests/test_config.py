@@ -8,7 +8,6 @@ def test_empty_text_gives_paper_defaults():
     assert cfg.params.alpha == 3.0
     assert cfg.params.rho == 1.0
     assert cfg.params.sigma == 0.1
-    assert cfg.params.mu == 0.0
     assert cfg.e_bar == 0.01
     assert cfg.params.horizon == 3.0
     assert cfg.grid.nf == 401 and cfg.grid.nt == 3000 and cfg.grid.theta == 0.5
@@ -47,6 +46,9 @@ def test_unknown_key_is_an_error():
         parse_config("volatility = 0.1")
     with pytest.raises(ConfigError, match="unknown"):
         parse_config("", [("gamma", "2")])
+    # The band is symmetric about central parity, so mu is no setting.
+    with pytest.raises(ConfigError, match="^mu: unknown key$"):
+        parse_config("mu = 0")
 
 
 def test_unparsable_number_names_the_key():

@@ -22,7 +22,7 @@ from targetzone import (
 
 
 def _third_derivative_bound(params, coefs, band, n=401):
-    # e''' = (alpha*rho*(f-mu) e'' + (1+alpha*rho) e' - 1) * 2/(alpha*sigma^2),
+    # e''' = (alpha*rho*f e'' + (1+alpha*rho) e' - 1) * 2/(alpha*sigma^2),
     # the differentiated form of the stationary equation; gives the natural
     # scale of the one-sided boundary slope estimate.
     a, r = params.alpha, params.rho
@@ -30,7 +30,7 @@ def _third_derivative_bound(params, coefs, band, n=401):
     for f in np.linspace(band.f_lo, band.f_hi, n):
         e1 = eval_stationary_slope(params, coefs, f)
         e2 = eval_stationary_curvature(params, coefs, f)
-        out.append(abs((a * r * (f - params.mu) * e2 + (1 + a * r) * e1 - 1.0) * 2.0 / (a * params.sigma**2)))
+        out.append(abs((a * r * f * e2 + (1 + a * r) * e1 - 1.0) * 2.0 / (a * params.sigma**2)))
     return max(out)
 
 
@@ -41,6 +41,13 @@ def test_grid_spec_validation():
         GridSpec(nt=0)
     with pytest.raises(ParameterError, match="theta"):
         GridSpec(theta=1.5)
+    # The march allocates nf*(nt+1) floats at once, so the spec caps them.
+    assert GridSpec(1000, 99_999).nt == 99_999
+    for nf, nt in [(1000, 100_000), (401, 10**9), (np.int64(2**32), np.int64(2**32 - 1))]:
+        with pytest.raises(ParameterError) as excinfo:
+            GridSpec(nf, nt)
+        assert excinfo.value.key == "nt"
+        assert f"{nf}*({nt}+1)" in str(excinfo.value)
 
 
 def test_axes_and_shape(default_surface, base_params):
@@ -119,11 +126,10 @@ def test_slice_reports_grid_node(base_params, calibrated):
     assert nearest.t == surface.t_axis[199]
 
 
-def test_slice_pairs_layout(default_surface):
+def test_slice_layout(default_surface):
     section = slice_at(default_surface, 1.0)
-    pairs = section.pairs()
-    assert len(pairs) == 401
-    assert pairs[0][0] == default_surface.f_axis[0]
+    assert len(section.f) == len(section.e) == 401
+    assert section.f[0] == default_surface.f_axis[0]
 
 
 def test_slice_range_errors(default_surface):
@@ -217,7 +223,7 @@ def test_explicit_scheme_blowup_names_step(base_params, calibrated):
     ],
 )
 def test_explicit_blowup_names_the_first_bad_step(horizon, nf, nt, message):
-    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.0, horizon=horizon)
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=horizon)
     _, band = calibrate_symmetric(params, 0.01)
     with pytest.raises(InstabilityError) as excinfo:
         solve_nonstationary(params, band, GridSpec(nf, nt, 0.0))
@@ -275,7 +281,7 @@ def test_steep_drift_on_coarse_grid_warns_with_peclet_number():
     from targetzone import Band, ModelParams
 
     # Interior nodes -0.5, 0, 0.5 with df = 0.5: rho*|f|*df/sigma^2 = 25.
-    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.0, horizon=1.0)
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=1.0)
     with pytest.warns(RuntimeWarning, match="Peclet number 25 ") as record:
         solve_nonstationary(params, Band(-1.0, 1.0, -1.0, 1.0), GridSpec(5, 10, 0.5))
     assert len(record) == 1

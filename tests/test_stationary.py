@@ -84,16 +84,6 @@ def test_curvature_of_calibrated_solution_matches_central_difference(base_params
         assert abs(eval_stationary_curvature(base_params, coefs, f) - fd) < 1e-5
 
 
-def test_asymmetric_evaluation_supported():
-    # mu != 0 must evaluate, even though calibration is symmetric-only.
-    params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03)
-    coefs = StationaryCoefficients(-0.2)
-    h = 1e-6
-    fd = (eval_stationary(params, coefs, 0.05 + h) -
-          eval_stationary(params, coefs, 0.05 - h)) / (2.0 * h)
-    assert abs(eval_stationary_slope(params, coefs, 0.05) - fd) < 1e-8
-
-
 def test_rho_zero_directs_to_bm(base_params):
     params = ModelParams(alpha=3.0, rho=0.0, sigma=0.1)
     with pytest.raises(ParameterError, match="Brownian"):
@@ -140,7 +130,7 @@ def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c2, calls):
         return kummer_m(*args, **kwargs)
 
     monkeypatch.setattr(stationary_mod, "kummer_m", counting_kummer_m)
-    params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12, mu=0.03)
+    params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12)
     eval_stationary_curvature(params, StationaryCoefficients(c2), 0.05)
     assert len(seen) == calls
 
@@ -304,17 +294,19 @@ def _bisection_calibration(params, e_bar):
 
 
 def test_calibration_matches_bisection_on_second_parameter_set():
-    params = ModelParams(alpha=2.0, rho=0.7, sigma=0.15, mu=0.0)
+    params = ModelParams(alpha=2.0, rho=0.7, sigma=0.15)
     coefs, band = calibrate_symmetric(params, 0.02)
     c2_ref, f_bar_ref = _bisection_calibration(params, 0.02)
     assert coefs.c2 == pytest.approx(c2_ref, rel=1e-9)
     assert band.f_hi == pytest.approx(f_bar_ref, rel=1e-9)
 
 
-def test_calibration_requires_symmetric_case():
-    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.02)
-    with pytest.raises(ParameterError, match="mu"):
-        calibrate_symmetric(params, 0.01)
+def test_model_params_pin_mu_to_zero():
+    with pytest.raises(ParameterError) as excinfo:
+        ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.02)
+    assert excinfo.value.key == "mu"
+    # perfbench passes mu by position, as 0.0 before the horizon.
+    assert ModelParams(3.0, 1.0, 0.1, 0.0, 3.0) == ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
 
 
 def test_calibration_requires_positive_e_bar(base_params):
@@ -444,7 +436,7 @@ def test_overflowing_trial_point_is_a_rejected_step(monkeypatch):
 
 
 def test_overflow_at_the_initial_guess_is_a_calibration_error():
-    # f_bar = 4e110 at the initial guess: (mu - f)**3 overflows a float.
+    # f_bar = 4e110 at the initial guess: f**3 overflows a float.
     with pytest.raises(CalibrationError, match="overflows"):
         calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 1e110)
 

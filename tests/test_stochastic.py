@@ -32,7 +32,7 @@ def test_drift_fixed_point(base_params, calibrated):
 
 
 def test_noiseless_exponential_decay(base_params, calibrated):
-    # Drift-only Euler tracks mu + (f0-mu) e^{-rho t} to O(dt) at every node.
+    # Drift-only Euler tracks f0 e^{-rho t} to O(dt) at every node.
     _, band = calibrated
     dt, n = 1e-3, 2000
     spec = PathSpec(f0=0.02, dt=dt, n_steps=n, seed=0)
@@ -75,7 +75,7 @@ def test_regulator_bookkeeping_replay(base_params):
     f = spec.f0
     hits = 0
     for k in range(spec.n_steps):
-        raw = f - base_params.rho * spec.dt * (f - base_params.mu) + shocks[k]
+        raw = f - base_params.rho * spec.dt * f + shocks[k]
         dl = du = 0.0
         if raw < TIGHT_BAND.f_lo:
             dl = TIGHT_BAND.f_lo - raw
@@ -95,28 +95,28 @@ def test_regulator_bookkeeping_replay(base_params):
     assert path.cum_l == cum_l and path.cum_u == cum_u
 
 
-def test_drift_only_regulation_books_upper(calibrated):
-    # Drift pulls toward mu = 0.05 above the band top: the path must park at
-    # f_hi and the upper regulator must absorb exactly the excess drift.
-    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, mu=0.05)
-    spec = PathSpec(f0=0.0, dt=1e-2, n_steps=2000, seed=0)
-    path = simulate_regulated_ou(params, TIGHT_BAND, spec, zero_noise=True)
-    assert path.values[-1] == TIGHT_BAND.f_hi
+def test_drift_only_regulation_books_upper(base_params):
+    # Drift pulls toward 0, above a band that lies below 0: the path must park
+    # at f_hi and the upper regulator must absorb exactly the excess drift.
+    band = Band(-0.03, -0.01, -0.015, -0.005)
+    spec = PathSpec(f0=-0.02, dt=1e-2, n_steps=2000, seed=0)
+    path = simulate_regulated_ou(base_params, band, spec, zero_noise=True)
+    assert path.values[-1] == band.f_hi
     assert path.cum_u > 0.0 and path.cum_l == 0.0
 
     # exact replay of the drift recursion with clipping
     f, cum_u = spec.f0, 0.0
     for _ in range(spec.n_steps):
-        raw = f - params.rho * spec.dt * (f - params.mu)
-        if raw > TIGHT_BAND.f_hi:
-            cum_u += raw - TIGHT_BAND.f_hi
-            f = TIGHT_BAND.f_hi
+        raw = f - base_params.rho * spec.dt * f
+        if raw > band.f_hi:
+            cum_u += raw - band.f_hi
+            f = band.f_hi
         else:
             f = raw
     assert path.cum_u == cum_u
     # once parked at the edge every step clips the same excess drift
-    per_step = params.rho * spec.dt * (params.mu - TIGHT_BAND.f_hi)
-    assert np.all(path.values[-500:] == TIGHT_BAND.f_hi)
+    per_step = -base_params.rho * spec.dt * band.f_hi
+    assert np.all(path.values[-500:] == band.f_hi)
     assert path.cum_u > 1900 * per_step
 
 
@@ -259,7 +259,7 @@ def test_weak_convergence_under_dt_halving(base_params, calibrated):
 
 
 def test_long_run_time_average_near_mu(base_params, calibrated):
-    # Ergodic check: the time average of one long path sits on mu = 0 within
+    # Ergodic check: the time average of one long path sits on 0 within
     # batch-mean error bars.
     _, band = calibrated
     spec = PathSpec(f0=0.0, dt=1e-3, n_steps=200_000, seed=77)
@@ -267,7 +267,7 @@ def test_long_run_time_average_near_mu(base_params, calibrated):
     batches = path.values[1:].reshape(20, 10_000).mean(axis=1)
     avg = batches.mean()
     se = batches.std(ddof=1) / math.sqrt(len(batches))
-    assert abs(avg - base_params.mu) < 3.0 * se
+    assert abs(avg) < 3.0 * se
 
 
 def test_estimate_validation(base_params, calibrated):
