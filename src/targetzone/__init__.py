@@ -47,7 +47,7 @@ from .stochastic import (
     feynman_kac_estimate,
     simulate_regulated_ou,
 )
-from .config import McConfig, RunConfig, parse_config
+from .config import RunConfig, parse_config
 
 __all__ = [
     "Band",
@@ -58,7 +58,6 @@ __all__ = [
     "ConvergenceError",
     "GridSpec",
     "InstabilityError",
-    "McConfig",
     "McEstimate",
     "ModelParams",
     "ParameterError",

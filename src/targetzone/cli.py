@@ -155,9 +155,7 @@ def cmd_simulate(config: RunConfig) -> int:
     band = _calibrated_band(config.params, config.e_bar).band
     f0 = config.f0 if config.f0 is not None else 0.5 * band.f_hi
     t = config.probe_t if config.probe_t is not None else config.params.horizon
-    est = feynman_kac_estimate(
-        config.params, band, f0, t, config.mc.n_paths, config.mc.dt, config.mc.seed
-    )
+    est = feynman_kac_estimate(config.params, band, f0, t, config.n_paths, config.dt, config.seed)
     print("targetzone simulate")
     _echo(_param_pairs(config))
     _echo(
@@ -166,7 +164,7 @@ def cmd_simulate(config: RunConfig) -> int:
             ("f0", f0),
             ("t", t),
             ("paths", est.n_paths),
-            ("dt", config.mc.dt),
+            ("dt", config.dt),
             ("seed", est.seed),
             ("mean", est.mean),
             ("std_error", est.std_error),
@@ -176,7 +174,7 @@ def cmd_simulate(config: RunConfig) -> int:
         write_csv(
             config.output_path,
             ["f0", "t", "n_paths", "dt", "seed", "mean", "std_error"],
-            _csv_lines([[f0, t, est.n_paths, config.mc.dt, est.seed, est.mean, est.std_error]]),
+            _csv_lines([[f0, t, est.n_paths, config.dt, est.seed, est.mean, est.std_error]]),
         )
         print(f"  wrote {config.output_path}")
     return 0

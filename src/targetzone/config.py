@@ -46,22 +46,15 @@ SETTINGS: dict[str, tuple[Callable[[str], object], object]] = {
 
 
 @dataclass(frozen=True)
-class McConfig:
-    """Monte-Carlo settings for the simulate pipeline."""
-
-    n_paths: int
-    dt: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved settings for one CLI run."""
 
     params: ModelParams
     e_bar: float
     grid: GridSpec
-    mc: McConfig
+    n_paths: int
+    dt: float
+    seed: int
     f0: float | None
     probe_t: float | None
     rho_list: tuple[float, ...]
@@ -98,7 +91,9 @@ def _validated(settings: dict[str, object]) -> RunConfig:
         params=params,
         e_bar=settings["e_bar"],
         grid=grid,
-        mc=McConfig(n_paths=settings["paths"], dt=settings["dt"], seed=settings["seed"]),
+        n_paths=settings["paths"],
+        dt=settings["dt"],
+        seed=settings["seed"],
         f0=settings["f0"],
         probe_t=settings["t"],
         rho_list=tuple(settings["rho_list"]),

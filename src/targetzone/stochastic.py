@@ -2,19 +2,20 @@
 
 The fundamental follows df = -rho*f dt + sigma dw - dU + dL, where the
 regulators L and U are the minimal pushes keeping f inside [f_lo, f_hi].
-`simulate_regulated_ou` discretizes by Euler-Maruyama followed by projection
-onto the band, booking the clipped amounts into the cumulative regulators.
 
 The exchange rate admits the forward representation
 
     e(t, f0) = (1/alpha) * E[ integral_0^t exp(-s/alpha) f(s) ds ],  f(0) = f0,
 
 with f the regulated process; `feynman_kac_estimate` evaluates it by Monte
-Carlo with a trapezoidal discount integral. Inside the estimator the boundary
-is handled by symmetrized Euler (mirror reflection of the overshoot) rather
-than projection: projection's weak error is O(sqrt(dt)), several standard
-errors at the path counts used for PDE cross-checks, while the symmetrized
-step is O(dt) and measurably unbiased here.
+Carlo with a trapezoidal discount integral.
+
+Both simulators take one step: Euler, then a fold (mirror) of the overshoot
+back into the band. Projection onto the band would instead carry an
+O(sqrt(dt)) error, in the estimates and in the regulator totals; the fold is
+O(dt). For driftless Brownian motion at one wall the folded walk
+x_{k+1} = |x_k + dW_k| has the law of reflected Brownian motion, and its
+pushes sum to x_n - x_0 - W_n, whose mean is the mean local time there.
 
 Noise comes from counter-based Philox substreams keyed by (seed, block), a
 fixed block being 8192 paths, so every path's randomness is a pure function
@@ -125,16 +126,12 @@ def _check_band_point(band: Band, f0: float) -> None:
         raise ParameterError(f"f0={f0} outside the band [{band.f_lo}, {band.f_hi}]", "f0")
 
 
-def simulate_regulated_ou(
-    params: ModelParams,
-    band: Band,
-    spec: PathSpec,
-    zero_noise: bool = False,
-) -> RegulatedPath:
+def simulate_regulated_ou(params: ModelParams, band: Band, spec: PathSpec) -> RegulatedPath:
     """Simulate one regulated path; identical spec gives an identical path.
 
-    `zero_noise` switches the diffusion term off (drift-only stepping), used
-    to exercise the regulators and the mean reversion deterministically.
+    Each step is one lane of `_integrate_block`'s: fold at hi, fold at lo, then
+    clip at hi (reached only by a jump across the whole band). Each push is
+    booked into the regulator of its edge.
     """
     _check_band_point(band, spec.f0)
     if params.rho * spec.dt > 0.1:
@@ -144,26 +141,28 @@ def simulate_regulated_ou(
             stacklevel=2,
         )
 
-    if zero_noise:
-        shocks = np.zeros(spec.n_steps)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        shocks = params.sigma * math.sqrt(spec.dt) * rng.standard_normal(spec.n_steps)
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    shocks = params.sigma * math.sqrt(spec.dt) * rng.standard_normal(spec.n_steps)
 
     values = np.empty(spec.n_steps + 1)
     values[0] = spec.f0
     f = spec.f0
     cum_l = 0.0
     cum_u = 0.0
-    rdt = params.rho * spec.dt
+    lo, hi = band.f_lo, band.f_hi
+    decay = 1.0 - params.rho * spec.dt
     for k in range(spec.n_steps):
-        raw = f - rdt * f + shocks[k]
-        if raw < band.f_lo:
-            cum_l += band.f_lo - raw
-            f = band.f_lo
-        elif raw > band.f_hi:
-            cum_u += raw - band.f_hi
-            f = band.f_hi
+        raw = f * decay + shocks[k]
+        if raw > hi:
+            f = 2.0 * hi - raw
+            cum_u += raw - f
+            raw = f
+        if raw < lo:
+            f = 2.0 * lo - raw
+            cum_l += f - raw
+            if f > hi:
+                cum_u += f - hi
+                f = hi
         else:
             f = raw
         values[k + 1] = f

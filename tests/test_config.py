@@ -11,7 +11,7 @@ def test_empty_text_gives_paper_defaults():
     assert cfg.e_bar == 0.01
     assert cfg.params.horizon == 3.0
     assert cfg.grid.nf == 401 and cfg.grid.nt == 3000 and cfg.grid.theta == 0.5
-    assert cfg.mc.n_paths == 200_000 and cfg.mc.dt == 1e-3
+    assert cfg.n_paths == 200_000 and cfg.dt == 1e-3
     assert cfg.output_path is None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from targetzone import (
     ModelParams,
     ParameterError,
     PathSpec,
+    calibrate_bm,
     feynman_kac_estimate,
     simulate_regulated_ou,
     solve_nonstationary,
@@ -23,24 +25,37 @@ TIGHT_BAND = Band(-0.01, 0.01, -0.005, 0.005)
 # path simulation
 # ---------------------------------------------------------------------------
 
-def test_drift_fixed_point(base_params, calibrated):
+# A sigma whose noise lies far below the tolerances of the drift-only tests
+# that use it.
+QUIET = ModelParams(alpha=3.0, rho=1.0, sigma=1e-12)
+
+
+def _shocks(params, spec):
+    """The noise increments `simulate_regulated_ou` draws for ``spec``."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    return params.sigma * math.sqrt(spec.dt) * rng.standard_normal(spec.n_steps)
+
+
+def test_drift_fixed_point(calibrated):
+    # The noise adds up to sigma*sqrt(t) = 7e-13 at t = 0.5; the band is far.
     _, band = calibrated
     spec = PathSpec(f0=0.0, dt=1e-3, n_steps=500, seed=3)
-    path = simulate_regulated_ou(base_params, band, spec, zero_noise=True)
-    assert np.all(path.values == 0.0)
+    path = simulate_regulated_ou(QUIET, band, spec)
+    assert np.max(np.abs(path.values)) < 1e-11
     assert path.cum_l == 0.0 and path.cum_u == 0.0
 
 
-def test_noiseless_exponential_decay(base_params, calibrated):
-    # Drift-only Euler tracks f0 e^{-rho t} to O(dt) at every node.
+def test_noiseless_exponential_decay(calibrated):
+    # Drift-only Euler tracks f0 e^{-rho t} to O(dt) at every node; the noise
+    # moves each node by about 1e-12, 1e-9 of the smallest value.
     _, band = calibrated
     dt, n = 1e-3, 2000
     spec = PathSpec(f0=0.02, dt=dt, n_steps=n, seed=0)
-    path = simulate_regulated_ou(base_params, band, spec, zero_noise=True)
+    path = simulate_regulated_ou(QUIET, band, spec)
     times = dt * np.arange(n + 1)
-    exact = 0.02 * np.exp(-base_params.rho * times)
+    exact = 0.02 * np.exp(-QUIET.rho * times)
     rel = np.abs(path.values - exact) / exact
-    assert np.max(rel) < 2.0 * base_params.rho * dt
+    assert np.max(rel) < 2.0 * QUIET.rho * dt
 
 
 def test_values_stay_in_band(base_params, calibrated):
@@ -63,61 +78,130 @@ def test_identical_seed_identical_path(base_params, calibrated):
     assert a.cum_l == b.cum_l and a.cum_u == b.cum_u
 
 
-def test_regulator_bookkeeping_replay(base_params):
-    # Replay the exact noise stream and verify, step by step, that the
-    # clipped amount lands in the right regulator and never in both.
-    spec = PathSpec(f0=0.0, dt=1e-3, n_steps=5000, seed=99)
-    path = simulate_regulated_ou(base_params, TIGHT_BAND, spec)
+# On the tight band at dt = 1e-2 a shock is half the band's half-width, so
+# some steps jump the whole band and take two folds.
+REPLAY_SPEC = PathSpec(f0=0.0, dt=1e-2, n_steps=10_000, seed=99)
 
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    shocks = base_params.sigma * math.sqrt(spec.dt) * rng.standard_normal(spec.n_steps)
+
+def test_regulator_bookkeeping_replay(base_params):
+    # Replay the noise stream fold by fold: each fold pushes the path back
+    # inside across one edge, and its push lands in that edge's regulator.
+    spec = REPLAY_SPEC
+    path = simulate_regulated_ou(base_params, TIGHT_BAND, spec)
+    lo, hi = TIGHT_BAND.f_lo, TIGHT_BAND.f_hi
     cum_l = cum_u = 0.0
     f = spec.f0
-    hits = 0
-    for k in range(spec.n_steps):
-        raw = f - base_params.rho * spec.dt * f + shocks[k]
-        dl = du = 0.0
-        if raw < TIGHT_BAND.f_lo:
-            dl = TIGHT_BAND.f_lo - raw
-            f = TIGHT_BAND.f_lo
-        elif raw > TIGHT_BAND.f_hi:
-            du = raw - TIGHT_BAND.f_hi
-            f = TIGHT_BAND.f_hi
-        else:
-            f = raw
-        assert dl >= 0.0 and du >= 0.0
-        assert dl == 0.0 or du == 0.0   # complementarity
-        hits += dl > 0 or du > 0
-        cum_l += dl
-        cum_u += du
+    folds_per_step = []
+    for k, shock in enumerate(_shocks(base_params, spec)):
+        f = f * (1.0 - base_params.rho * spec.dt) + shock
+        folds = []
+        if f > hi:
+            folds.append((0.0, f - (2.0 * hi - f)))
+            f = 2.0 * hi - f
+        if f < lo:
+            folds.append(((2.0 * lo - f) - f, 0.0))
+            f = 2.0 * lo - f
+        if f > hi:
+            folds.append((0.0, f - hi))
+            f = hi
+        for dl, du in folds:
+            assert dl >= 0.0 and du >= 0.0
+            assert dl == 0.0 or du == 0.0   # complementarity, per fold
+            cum_l += dl
+            cum_u += du
+        folds_per_step.append(len(folds))
         assert path.values[k + 1] == f
-    assert hits > 0
+    assert folds_per_step.count(1) > 0 and folds_per_step.count(2) > 0
     assert path.cum_l == cum_l and path.cum_u == cum_u
 
 
-def test_drift_only_regulation_books_upper(base_params):
-    # Drift pulls toward 0, above a band that lies below 0: the path must park
-    # at f_hi and the upper regulator must absorb exactly the excess drift.
+# SHA-256 of the values' bytes, and the totals, of the replayed path. They were
+# recorded once the replay agreed with them; a change of step must re-pin them.
+PINNED_PATH = (
+    "a14b5115b752e436f33667ed98a51646b96c73fe8cb2098cc1fa380d1ef84b51",
+    "25.301503427687127",
+    "24.36109464033566",
+)
+
+
+def test_path_bits_are_pinned(base_params):
+    path = simulate_regulated_ou(base_params, TIGHT_BAND, REPLAY_SPEC)
+    digest = hashlib.sha256(path.values.tobytes()).hexdigest()
+    assert (digest, repr(float(path.cum_l)), repr(float(path.cum_u))) == PINNED_PATH
+
+
+def test_path_is_one_lane_of_the_estimator_step(base_params, calibrated):
+    # Both simulators take one step: the path's values are those of one
+    # `_integrate_block` lane fed the path's own noise, to the last bit. On the
+    # tight band some steps jump the whole band (fold, fold, clip).
+    for band, spec, whole_band_jumps in [
+        (calibrated[1], PathSpec(0.0, 1e-3, 5000, 7), False),
+        (TIGHT_BAND, PathSpec(0.0, 1e-2, 20_000, 7), True),
+    ]:
+        path = simulate_regulated_ou(base_params, band, spec)
+        shocks = _shocks(base_params, spec)
+        f, acc = np.array([spec.f0]), np.zeros(1)
+        lane = [spec.f0]
+        for k in range(spec.n_steps):
+            stochastic._integrate_block(
+                base_params, band, f, acc, shocks[k : k + 1, None], spec.dt, np.zeros(1)
+            )
+            lane.append(f[0])
+        assert np.array_equal(path.values, lane)
+        raw = path.values[:-1] * (1.0 - base_params.rho * spec.dt) + shocks
+        width = band.f_hi - band.f_lo
+        jumps = np.count_nonzero((raw > band.f_hi + width) | (raw < band.f_lo - width))
+        assert (jumps > 0) == whole_band_jumps
+
+
+def _stationary_regulator_rate(params, f_bar):
+    """dU/dt = dL/dt of the reflected process on [-f_bar, f_bar]: (sigma^2/2) p(f_bar)."""
+    s = params.sigma
+    if params.rho == 0.0:
+        return s * s / (4.0 * f_bar)
+    root = math.sqrt(params.rho)
+    mass = s * math.sqrt(math.pi) / root * math.erf(root * f_bar / s)
+    return 0.5 * s * s * math.exp(-((root * f_bar / s) ** 2)) / mass
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.0])
+def test_regulator_totals_match_the_stationary_rate(base_params, calibrated, rho):
+    # 20 paths of 1000 years. Projection onto the band under-books the totals
+    # by O(sqrt(dt)): at rho = 1, U and L came out 10.4 % and 11.1 % low (9.7
+    # and 7.3 SE), at rho = 0 5.0 % and 6.0 % (4.6 and 4.2 SE).
+    if rho == 0.0:
+        params = ModelParams(alpha=3.0, rho=0.0, sigma=0.1)
+        band = calibrate_bm(3.0, 0.1, 0.01)[1]
+    else:
+        params, band = base_params, calibrated[1]
+    rate = _stationary_regulator_rate(params, band.f_hi)
+    dt, n = 1e-2, 100_000
+    paths = [simulate_regulated_ou(params, band, PathSpec(0.0, dt, n, seed)) for seed in range(20)]
+    for totals in ([p.cum_l for p in paths], [p.cum_u for p in paths]):
+        rates = np.array(totals) / (n * dt)
+        se = rates.std(ddof=1) / math.sqrt(len(rates))
+        assert abs(rates.mean() - rate) < 3.0 * se
+
+
+def test_drift_only_regulation_books_upper():
+    # Drift pulls toward 0, above a band that lies below 0: once at the edge
+    # the path is folded back below f_hi on every step, and only the upper
+    # regulator pushes.
     band = Band(-0.03, -0.01, -0.015, -0.005)
     spec = PathSpec(f0=-0.02, dt=1e-2, n_steps=2000, seed=0)
-    path = simulate_regulated_ou(base_params, band, spec, zero_noise=True)
-    assert path.values[-1] == band.f_hi
-    assert path.cum_u > 0.0 and path.cum_l == 0.0
-
-    # exact replay of the drift recursion with clipping
-    f, cum_u = spec.f0, 0.0
-    for _ in range(spec.n_steps):
-        raw = f - base_params.rho * spec.dt * f
-        if raw > band.f_hi:
-            cum_u += raw - band.f_hi
-            f = band.f_hi
-        else:
-            f = raw
-    assert path.cum_u == cum_u
-    # once parked at the edge every step clips the same excess drift
-    per_step = -base_params.rho * spec.dt * band.f_hi
-    assert np.all(path.values[-500:] == band.f_hi)
-    assert path.cum_u > 1900 * per_step
+    path = simulate_regulated_ou(QUIET, band, spec)
+    values = path.values
+    assert np.all(values <= band.f_hi)
+    assert path.cum_l == 0.0 and path.cum_u > 0.0
+    # It settles at the fold's fixed point f = 2 f_hi - f (1 - rho dt), half a
+    # step's drift inside the edge; the gap to it shrinks by 1 - rho dt a step.
+    fixed_point = 2.0 * band.f_hi / (2.0 - QUIET.rho * spec.dt)
+    assert np.allclose(values[-500:], fixed_point, rtol=0.0, atol=1e-9)
+    # f_n = f_0 - sum(rho*dt*f_k) + sum(shocks) - U + L: 2000 steps of rounding
+    # at a few 1e-18 each.
+    drift = QUIET.rho * spec.dt * np.sum(values[:-1])
+    balance = values[0] - drift + np.sum(_shocks(QUIET, spec)) - path.cum_u + path.cum_l
+    assert abs(balance - values[-1]) < 1e-14
 
 
 def test_coarse_dt_warns(calibrated):
@@ -258,7 +342,7 @@ def test_weak_convergence_under_dt_halving(base_params, calibrated):
     assert gap < 3.0 * math.hypot(coarse.std_error, fine.std_error)
 
 
-def test_long_run_time_average_near_mu(base_params, calibrated):
+def test_long_run_time_average_near_parity(base_params, calibrated):
     # Ergodic check: the time average of one long path sits on 0 within
     # batch-mean error bars.
     _, band = calibrated
