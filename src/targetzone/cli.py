@@ -78,13 +78,27 @@ def _param_pairs(config: RunConfig) -> list[tuple[str, object]]:
 
 
 class _Calibrated(NamedTuple):
-    """A calibrated stationary model: band, evaluators and report lines."""
+    """A calibrated stationary model: band, evaluators and report lines.
+
+    `value` takes a float or an array of f; `slope` takes a float.
+    """
 
     band: Band
-    value: Callable[[float], float]
+    value: Callable
     slope: Callable[[float], float]
     pairs: list[tuple[str, object]]
     tag: str  # names the model's figure-4 curve file
+
+
+def _per_point(evaluate: Callable[[float], float]) -> Callable:
+    """Apply a float evaluator to a float, or point by point to an array."""
+
+    def apply(f):
+        if isinstance(f, np.ndarray):
+            return np.array([evaluate(x) for x in f.tolist()])
+        return evaluate(f)
+
+    return apply
 
 
 def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
@@ -93,7 +107,8 @@ def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
         bm, band = calibrate_bm(params.alpha, params.sigma, e_bar)
         return _Calibrated(
             band,
-            lambda f: eval_stationary_bm(bm, f),
+            # Per point: np.exp rounds differently from math.exp in some lanes.
+            _per_point(lambda f: eval_stationary_bm(bm, f)),
             lambda f: eval_stationary_bm_slope(bm, f),
             [("model", "bm"), ("lambda", bm.lam)],
             "bm",
@@ -132,7 +147,7 @@ def _solve(config: RunConfig) -> tuple[Surface, _Calibrated]:
 def cmd_solve(config: RunConfig) -> int:
     surface, model = _solve(config)
     final = surface.values[-1]
-    gap = float(np.max(np.abs(final - np.array([model.value(f) for f in surface.f_axis.tolist()]))))
+    gap = float(np.max(np.abs(final - model.value(surface.f_axis))))
     print("targetzone solve")
     _echo(_param_pairs(config))
     _echo(
@@ -246,7 +261,7 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
         write_csv(
             path,
             ["f", "e"],
-            _csv_lines((float(f), model.value(float(f))) for f in f_grid),
+            _csv_lines(zip(f_grid.tolist(), model.value(f_grid).tolist())),
             comments=[f"f_bar={_fmt(model.band.f_hi)}"],
         )
         written.append(str(path))

@@ -17,19 +17,21 @@ that 2x2 system by damped Newton with the analytic Jacobian. `calibrate_bm`
 provides the rho -> 0 (regulated Brownian motion) reference in closed form,
 evaluated in a form normalised at the band edge so that nothing overflows.
 
-Value, slope and curvature at a point come from one jet. It derives a2 and
-the powers of rho and sigma once, raising ParameterError (key rho or sigma)
-where one is not a usable float, then the three Kummer values
-M(a2 + k, 3/2 + k, z), k = 0, 1, 2, on Python floats. Newton evaluates one
-jet per trial point, and an accepted point's jet is also the next Jacobian.
-A trial point whose jet overflows or whose Kummer series raises is rejected
-like a NaN residual.
+Value, slope and curvature come from one jet, at a float f or over an
+array of them. It derives a2 and the powers of rho and sigma once, raising
+ParameterError (key rho or sigma) where one is not a usable float, then the
+three Kummer values M(a2 + k, 3/2 + k, z), k = 0, 1, 2: three float calls at
+a float, one call on (points, 3) lanes over an array. Each lane repeats the
+float arithmetic, so an array gives the float calls' bits point by point.
+Newton evaluates one float jet per trial point, and an accepted point's jet
+is also the next Jacobian. A trial point whose jet overflows or whose Kummer
+series raises is rejected like a NaN residual.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,6 +42,8 @@ from .model import Band, BmStationaryCoefficients, ModelParams, StationaryCoeffi
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
+# k in the Kummer family M(a2 + k, 3/2 + k, z) of the jet's array lanes.
+_FAMILY = np.array([0.0, 1.0, 2.0])
 
 
 def check_e_bar(e_bar: float) -> None:
@@ -48,17 +52,20 @@ def check_e_bar(e_bar: float) -> None:
         raise ParameterError(f"must be positive and finite, got {e_bar}", "e_bar")
 
 
+Points = Union[float, np.ndarray]
+
+
 class _Jet(NamedTuple):
-    """Value, slope and curvature of e at one point, plus the c2-columns h2, h2'."""
+    """Value, slope and curvature of e at f, plus the c2-columns h2, h2'."""
 
-    value: float
-    slope: float
-    curvature: float
-    h2: float
-    h2p: float
+    value: Points
+    slope: Points
+    curvature: Points
+    h2: Points
+    h2p: Points
 
 
-def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
+def _jet(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
     """Evaluate the stationary solution and its first two df-derivatives at f.
 
     The Kummer values M(a2, 3/2, z), M(a2+1, 5/2, z) and M(a2+2, 7/2, z) are
@@ -84,12 +91,22 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
 
     u = 0.0 - f  # not -f: u at f = +0.0 must be +0.0, or the curvature's sign flips
     z = rho * u * u / s2
-    m2 = kummer_m(a2, 1.5, z)
-    m2p = (a2 / 1.5) * kummer_m(a2 + 1.0, 2.5, z)
-    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * kummer_m(a2 + 2.0, 3.5, z)
+    if isinstance(z, np.ndarray):
+        # Lanes (point, k): a lane error is the one a loop over f would meet first.
+        m = kummer_m(a2 + _FAMILY, _FAMILY + 1.5, z[..., None])
+        m2, m2p, m2pp = m[..., 0], m[..., 1], m[..., 2]
+        # Python's pow per point: numpy's u**3 rounds differently in some lanes.
+        u3 = np.reshape([x**3 for x in u.ravel().tolist()], u.shape)
+    else:
+        m2 = kummer_m(a2, 1.5, z)
+        m2p = kummer_m(a2 + 1.0, 2.5, z)
+        m2pp = kummer_m(a2 + 2.0, 3.5, z)
+        u3 = u**3
+    m2p = (a2 / 1.5) * m2p
+    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * m2pp
     h2 = (sqrt_rho * u / sigma) * m2
     h2p = -((sqrt_rho / sigma) * m2 + (2.0 * r15 * u * u / s3) * m2p)
-    h2pp = (6.0 * r15 * u / s3) * m2p + (4.0 * r25 * u**3 / s5) * m2pp
+    h2pp = (6.0 * r15 * u / s3) * m2p + (4.0 * r25 * u3 / s5) * m2pp
 
     particular = f / (1.0 + alpha_rho)
     return _Jet(
@@ -101,19 +118,32 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: float) -> _Jet:
     )
 
 
-def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: float) -> float:
-    """Stationary exchange rate e(f) for given integration constants."""
-    return _jet(params, coefs, f).value
+def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
+    """`_jet` at a float, or over an array with numpy's float warnings off.
+
+    Python floats overflow to inf and nan silently; the lanes must too.
+    """
+    if isinstance(f, np.ndarray):
+        with np.errstate(all="ignore"):
+            return _jet(params, coefs, f)
+    return _jet(params, coefs, f)
 
 
-def eval_stationary_slope(params: ModelParams, coefs: StationaryCoefficients, f: float) -> float:
-    """Analytic de/df of the stationary solution."""
-    return _jet(params, coefs, f).slope
+def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
+    """Stationary exchange rate e(f) for given integration constants, at a float or an array."""
+    return _jet_at(params, coefs, f).value
 
 
-def eval_stationary_curvature(params: ModelParams, coefs: StationaryCoefficients, f: float) -> float:
-    """Analytic d2e/df2 of the stationary solution."""
-    return _jet(params, coefs, f).curvature
+def eval_stationary_slope(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
+    """Analytic de/df of the stationary solution, at a float or an array."""
+    return _jet_at(params, coefs, f).slope
+
+
+def eval_stationary_curvature(
+    params: ModelParams, coefs: StationaryCoefficients, f: Points
+) -> Points:
+    """Analytic d2e/df2 of the stationary solution, at a float or an array."""
+    return _jet_at(params, coefs, f).curvature
 
 
 def stationary_ode_residual(
@@ -125,14 +155,14 @@ def stationary_ode_residual(
 
     Zero (to roundoff) for any coefficients, because every member of the
     solution family satisfies the stationary equation; the check guards the
-    analytic-derivative plumbing rather than the calibration.
+    analytic-derivative plumbing rather than the calibration. The jet runs
+    once over the whole grid; each node gets the bits of the float jet.
     """
     a, r, s2 = params.alpha, params.rho, params.sigma**2
-    out = np.empty(len(f_grid))
-    for i, f in enumerate(np.asarray(f_grid, dtype=float).tolist()):
+    f = np.asarray(f_grid, dtype=float)
+    with np.errstate(all="ignore"):  # see _jet_at
         e, ep, epp, _, _ = _jet(params, coefs, f)
-        out[i] = 0.5 * a * s2 * epp - a * r * f * ep - e + f
-    return out
+        return 0.5 * a * s2 * epp - a * r * f * ep - e + f
 
 
 def calibrate_symmetric(

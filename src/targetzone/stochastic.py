@@ -166,7 +166,7 @@ def simulate_regulated_ou(params: ModelParams, band: Band, spec: PathSpec) -> Re
         else:
             f = raw
         values[k + 1] = f
-    return RegulatedPath(values, cum_l, cum_u)
+    return RegulatedPath(values, float(cum_l), float(cum_u))  # numpy shocks make np.float64
 
 
 def _cpu_count() -> int:

@@ -306,6 +306,26 @@ def test_figure4_curves_and_convergence(tmp_path, capsys):
     assert np.max(np.abs(ou_on_bm - bm_rows[:, 1])) < 1e-3
 
 
+# SHA-256 of each figure-4 curve file at `--rho-list 1,0.1,0.001` and the
+# default parameters.
+PINNED_FIG4_SHA256 = {
+    "bm": "cc424cc404942552aa4b73d0915b7e683d141198a6acde5af6f95138a527c426",
+    "ou_rho=1": "a313b87e8b6d9de09bc1bb174cbbdd198add688b65a751c64b12b2b9500cc00b",
+    "ou_rho=0.1": "a6fb7849eaea5fa92a1c36a4086feb7ae7fcb46ac6ea51053b64e661e2e444b2",
+    "ou_rho=0.001": "849bf9cc5e3fd9c1c79f72f0091f088b80b246c3a2fd3ff723c5e1d4212114e1",
+}
+
+
+def test_figure4_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "--which", "4", "--rho-list", "1,0.1,0.001", "--out", str(out)]) == 0
+    digests = {
+        tag: hashlib.sha256((tmp_path / f"fig4_{tag}.csv").read_bytes()).hexdigest()
+        for tag in PINNED_FIG4_SHA256
+    }
+    assert digests == PINNED_FIG4_SHA256
+
+
 def test_figure4_calibration_failure_writes_no_files(tmp_path, capsys):
     # The BM curve calibrates at this e_bar and the OU rho = 1 curve does not;
     # its file used to be written before the OU failure.

@@ -128,3 +128,84 @@ def test_numpy_scalar_arguments_give_the_same_float(a, b, z):
 def test_overflowing_sum_raises_instead_of_inf():
     with pytest.raises(ConvergenceError, match="overflows"):
         kummer_m(3.0, 1.5, 800.0)
+
+
+# Array lanes repeat the float loop: same bits, same stopping term, same error.
+LANE_A2 = np.geomspace(0.5, 5e3, 9)
+LANE_Z = np.array([0.0, 1e-9, 0.03, 0.786, 4.0, 25.0, 90.0, 180.0, 260.0, 313.0, 340.0])
+
+
+def _scalar_lanes(a, b, z):
+    """The float calls lane by lane: values, and the error text of each failing lane."""
+    values, errors = [], []
+    for x, y, w in zip(a.ravel().tolist(), b.ravel().tolist(), z.ravel().tolist()):
+        try:
+            values.append(kummer_m(x, y, w))
+            errors.append(None)
+        except ConvergenceError as exc:
+            values.append(math.nan)
+            errors.append(str(exc))
+    return np.reshape(values, z.shape), errors
+
+
+@pytest.mark.parametrize("b", [1.5, 2.5, 3.5])
+def test_lanes_equal_the_float_loop(b, monkeypatch):
+    import targetzone.kummer as kummer_mod
+
+    a, z = np.meshgrid(LANE_A2, LANE_Z, indexing="ij")
+    b = np.full(z.shape, b)
+    expected, errors = _scalar_lanes(a, b, z)
+    fine = np.array([e is None for e in errors]).reshape(z.shape)
+    assert np.array_equal(kummer_m(a[fine], b[fine], z[fine]), expected[fine])
+    # The whole grid raises the float loop's first error, in C order.
+    with pytest.raises(ConvergenceError) as excinfo:
+        kummer_m(a, b, z)
+    assert str(excinfo.value) == next(e for e in errors if e is not None)
+    # Some converged lanes run past the first 64 terms, so blocks carry over.
+    monkeypatch.setattr(kummer_mod, "MAX_TERMS", 64)
+    assert any(e is not None for e in _scalar_lanes(a[fine], b[fine], z[fine])[1])
+
+
+def test_lanes_broadcast_and_keep_the_shape():
+    z = LANE_Z[:6].reshape(2, 3)
+    got = kummer_m(2.0 / 3.0, np.array([1.5, 2.5, 3.5]), z)
+    assert got.shape == (2, 3)
+    assert [x.hex() for x in got.ravel().tolist()] == [
+        kummer_m(2.0 / 3.0, y, w).hex()
+        for w, y in zip(z.ravel().tolist(), [1.5, 2.5, 3.5] * 2)
+    ]
+    assert kummer_m(np.array([]), 1.5, np.array([])).shape == (0,)
+    zero_d = kummer_m(np.array(0.7), 1.9, np.array(2.3))
+    assert type(zero_d) is float and zero_d == kummer_m(0.7, 1.9, 2.3)
+
+
+@pytest.mark.parametrize(
+    "lanes",
+    [
+        # Mixed signs: the first failing lane's error is the float loop's.
+        [(1.0, 1.0, -5.0), (1.0, 1.0, -5.5), (166.7, 0.5, -5.0)],
+        [(1.0, 1.0, -5.0), (1.0, 1.0, 400.0), (1.0, 1.0, -5.5)],
+        [(166.7, 0.5, -5.0), (3.0, 1.5, 800.0)],
+        [(0.5, 1.5, 1.0), (0.5, 1.5, math.nan)],
+        [(0.5, 1.5, 1.0), (0.5, 1.5, math.inf), (0.5, 1.5, math.nan)],
+    ],
+)
+def test_lane_errors_are_the_float_loops_first_error(lanes):
+    a, b, z = (np.array(column) for column in zip(*lanes))
+    _, errors = _scalar_lanes(a, b, z)
+    with pytest.raises(ConvergenceError) as excinfo:
+        kummer_m(a, b, z)
+    assert str(excinfo.value) == next(e for e in errors if e is not None)
+
+
+def test_mixed_sign_lanes_that_converge_equal_the_float_loop():
+    rng = np.random.default_rng(7)
+    a, b, z = rng.uniform(-2.0, 3.0, 200), rng.uniform(0.3, 4.0, 200), rng.uniform(-3.0, 3.0, 200)
+    expected, errors = _scalar_lanes(a, b, z)
+    assert errors == [None] * 200
+    assert np.array_equal(kummer_m(a, b, z), expected)
+
+
+def test_lanes_check_the_pole_of_b():
+    with pytest.raises(ParameterError, match="pole"):
+        kummer_m(np.array([1.0, 1.0]), np.array([1.5, -2.0]), np.array([0.5, 0.5]))

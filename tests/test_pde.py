@@ -71,7 +71,7 @@ def test_horizon_slice_matches_stationary(default_surface, base_params, calibrat
     # Three years out the solution has essentially reached the no-terminal
     # (stationary) curve.
     coefs, _ = calibrated
-    stationary = np.array([eval_stationary(base_params, coefs, f) for f in default_surface.f_axis])
+    stationary = eval_stationary(base_params, coefs, default_surface.f_axis)
     assert np.max(np.abs(default_surface.values[-1] - stationary)) < 2e-3
 
 
@@ -84,7 +84,7 @@ def test_monotone_approach_to_stationarity(default_surface, base_params, calibra
     # d(t) = max_f |e(t, f) - stationary(f)| must be non-increasing past the
     # early ramp-up.
     coefs, _ = calibrated
-    stationary = np.array([eval_stationary(base_params, coefs, f) for f in default_surface.f_axis])
+    stationary = eval_stationary(base_params, coefs, default_surface.f_axis)
     gaps = np.max(np.abs(default_surface.values - stationary), axis=1)
     start = int(np.searchsorted(default_surface.t_axis, 0.5))
     assert np.all(np.diff(gaps[start:]) <= 0)

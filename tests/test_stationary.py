@@ -6,6 +6,7 @@ import pytest
 
 from targetzone import (
     CalibrationError,
+    ConvergenceError,
     ModelParams,
     ParameterError,
     StationaryCoefficients,
@@ -117,6 +118,18 @@ def test_evaluator_bits_are_pinned(case, scalar):
         assert got == hexes, f"f = {f}"
 
 
+@pytest.mark.parametrize("case", sorted(PINNED_JETS))
+def test_evaluators_on_an_array_give_the_float_bits(case):
+    params, coefs, expected = PINNED_JETS[case]
+    for c in (coefs, StationaryCoefficients(-coefs.c2)):
+        f = np.array([*expected, 0.0, -0.0])
+        for ev in (eval_stationary, eval_stationary_slope, eval_stationary_curvature):
+            lanes = ev(params, c, f)
+            assert isinstance(lanes, np.ndarray) and lanes.shape == f.shape
+            floats = [ev(params, c, x) for x in f.tolist()]
+            assert [x.hex() for x in lanes.tolist()] == [x.hex() for x in floats]
+
+
 @pytest.mark.parametrize(("c2", "calls"), [(0.0, 3), (-0.0, 3)])
 def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c2, calls):
     # Only the odd family M(a2 + k, 3/2 + k, .) is evaluated, and all of it
@@ -157,6 +170,16 @@ def test_residual_invariant_under_coefficient_shift(base_params, calibrated, ban
     shifted = StationaryCoefficients(coefs.c2 + 0.1)
     res = stationary_ode_residual(base_params, shifted, band_grid)
     assert np.max(np.abs(res)) < 1e-12
+
+
+def test_residual_raises_the_error_a_loop_over_the_grid_meets_first(base_params, calibrated):
+    # Kummer fails at f = 10, 12 and 1e103, where u**3 overflows as well.
+    coefs, _ = calibrated
+    with pytest.raises(ConvergenceError) as first:
+        eval_stationary(base_params, coefs, 10.0)
+    with pytest.raises(ConvergenceError) as lanes:
+        stationary_ode_residual(base_params, coefs, [0.05, 10.0, 12.0, 1e103])
+    assert str(lanes.value) == str(first.value)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,8 @@ PINNED_PATH = (
 def test_path_bits_are_pinned(base_params):
     path = simulate_regulated_ou(base_params, TIGHT_BAND, REPLAY_SPEC)
     digest = hashlib.sha256(path.values.tobytes()).hexdigest()
-    assert (digest, repr(float(path.cum_l)), repr(float(path.cum_u))) == PINNED_PATH
+    assert type(path.cum_l) is float and type(path.cum_u) is float
+    assert (digest, repr(path.cum_l), repr(path.cum_u)) == PINNED_PATH
 
 
 def test_path_is_one_lane_of_the_estimator_step(base_params, calibrated):
