@@ -2,20 +2,23 @@
 
 `kummer_m(a, b, z)` sums the Taylor series sum_{n>=0} (a)_n z^n / ((b)_n n!)
 to machine precision. It takes floats or arrays. Floats are summed term by
-term on Python floats. Arrays are broadcast to lanes, which are summed in
-ordered blocks of 16, 32 and then 64 terms: a block forms its term ratios,
-and `np.multiply.accumulate` and `np.add.accumulate` along the terms carry
-the term and the sum on in term order from where the last block ended. So
-every lane rounds exactly as the float loop does and gives the same bits,
-stops at the same term by the same rule and fails with the same error;
-where several lanes fail, the first in C order raises. The
-model's arguments (a > 0, z = rho*f^2/sigma^2 >= 0) give positive terms,
-but z is not small: over the benchmark's parameter cube it reaches 313 at
-calibrated band edges, where the series needs about 470 of its MAX_TERMS
-terms, and 7.8e7 at Newton trial points. Beyond z of about 300 to 340
-(depending on a) the cap is exceeded and beyond about 550 to 780 the terms
-overflow: both raise ConvergenceError. No large-|z| asymptotic branch is
-provided.
+term on Python floats, with the term index kept as a float: the float loop
+is the hot path of Newton's calibration, and int + float would convert the
+index to the same float on every use. Arrays are broadcast to lanes, which
+are summed in ordered blocks of 16, 32 and then 64 terms: a block forms its
+term ratios, and `np.multiply.accumulate` and `np.add.accumulate` along the
+terms carry the term and the sum on in term order from where the last block
+ended. So every lane rounds exactly as the float loop does and gives the
+same bits, stops at the same term by the same rule and fails with the same
+error; where several lanes fail, the first in C order raises. The model's
+arguments (a > 0, z = rho*f^2/sigma^2 >= 0) give positive terms, but z is
+not small: over the benchmark's parameter cube it reaches 313 at calibrated
+band edges, where the series needs about 470 of its MAX_TERMS terms, and
+7.8e7 at Newton trial points. Beyond z of about 300 to 340 (depending on a)
+the cap is exceeded and beyond about 550 to 780 the terms overflow: both
+raise ConvergenceError. No large-|z| asymptotic branch is provided. A b at a
+pole (0, -1, -2, ...) or at -inf, where the poles pile up, raises
+ParameterError with key b.
 """
 
 from __future__ import annotations
@@ -39,9 +42,12 @@ _CANCEL_REL = 1e-12
 
 
 def _check_b(b: float) -> None:
-    # Poles of M in b sit at 0, -1, -2, ...
-    if b <= 0 and b == math.floor(b):
-        raise ParameterError(f"b={b} is a pole of M(a, b, z) (zero or negative integer)", "b")
+    # Poles of M in b sit at 0, -1, -2, ... and pile up towards -inf, which
+    # math.floor cannot take.
+    if b <= 0 and (b == -math.inf or b == math.floor(b)):
+        raise ParameterError(
+            f"b={b} is a pole of M(a, b, z) (zero, a negative integer or -inf)", "b"
+        )
 
 
 def _diverged(a: float, b: float, z: float) -> ConvergenceError:
@@ -91,8 +97,10 @@ def kummer_m(a, b, z):
     total = 1.0
     largest = 1.0
     small_streak = 0
-    for n in range(MAX_TERMS):
-        term *= (a + n) * z / ((b + n) * (n + 1))
+    n = 0.0  # a float count: see the module docstring
+    for _ in range(MAX_TERMS):
+        term *= (a + n) * z / ((b + n) * (n + 1.0))
+        n += 1.0
         total += term
         size = abs(term)
         if size > largest:

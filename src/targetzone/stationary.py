@@ -18,14 +18,22 @@ provides the rho -> 0 (regulated Brownian motion) reference in closed form,
 evaluated in a form normalised at the band edge so that nothing overflows.
 
 Value, slope and curvature come from one jet, at a float f or over an
-array of them. It derives a2 and the powers of rho and sigma once, raising
-ParameterError (key rho or sigma) where one is not a usable float, then the
-three Kummer values M(a2 + k, 3/2 + k, z), k = 0, 1, 2: three float calls at
-a float, one call on (points, 3) lanes over an array. Each lane repeats the
-float arithmetic, so an array gives the float calls' bits point by point.
-Newton evaluates one float jet per trial point, and an accepted point's jet
-is also the next Jacobian. A trial point whose jet overflows or whose Kummer
-series raises is rejected like a NaN residual.
+array of them. `_solution` derives a2 and the powers of rho and sigma once,
+raising ParameterError (key rho or sigma) where one is not a usable float;
+the jet then takes the three Kummer values M(a2 + k, 3/2 + k, z),
+k = 0, 1, 2: three float calls at a float, one call on (points, 3) lanes over
+an array. Each lane repeats the float arithmetic, so an array gives the
+float calls' bits point by point.
+
+Newton derives these constants once per calibration and evaluates its trial
+points on floats in stages, through the same formulas: M(a2, 3/2, z) gives
+the value residual, which alone rejects a point whose residual is no
+smaller than the current norm; M(a2 + 1, 5/2, z) gives the slope and the
+norm; only a point that lowers the norm evaluates M(a2 + 2, 7/2, z) and u**3
+for the curvature, which the next Jacobian needs. So a trial accepts
+exactly the points its full jet would, with the same bits, and a rejected
+one stops at the residual that rejects it. A trial point whose jet
+overflows or whose Kummer series raises is rejected like a NaN residual.
 """
 
 from __future__ import annotations
@@ -65,14 +73,51 @@ class _Jet(NamedTuple):
     h2p: Points
 
 
-def _jet(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
-    """Evaluate the stationary solution and its first two df-derivatives at f.
+class _Solution(NamedTuple):
+    """The stationary solution at one (alpha, rho, sigma): its constants and arithmetic.
 
-    The Kummer values M(a2, 3/2, z), M(a2+1, 5/2, z) and M(a2+2, 7/2, z) are
-    computed once; the derivatives follow from
-    dM(a, b, z)/dz = (a/b) M(a+1, b+1, z) and the chain rule through
-    z(f) = rho*f^2/sigma^2.
+    h2 = (sqrt(rho)*u/sigma)*M(a2, 3/2, z) with u = -f, and its df-derivatives
+    follow from dM(a, b, z)/dz = (a/b) M(a+1, b+1, z) and the chain rule
+    through z(f) = rho*f^2/sigma^2. Each method is the one site of its
+    formula, for a float f or an array; the Kummer values come in as
+    arguments, so the caller decides which of them to evaluate.
     """
+
+    a2: float
+    rho: float
+    sigma: float
+    s2: float
+    s3: float
+    s5: float
+    sqrt_rho: float
+    r15: float
+    r25: float
+    one_alpha_rho: float  # 1 + alpha*rho
+
+    def z(self, u: Points) -> Points:
+        return self.rho * u * u / self.s2
+
+    def value(self, c2: float, f: Points, u: Points, m2: Points) -> tuple[Points, Points]:
+        """h2 and e at f, from M(a2, 3/2, z)."""
+        h2 = (self.sqrt_rho * u / self.sigma) * m2
+        return h2, c2 * h2 + f / self.one_alpha_rho
+
+    def slope(
+        self, c2: float, u: Points, m2: Points, m2p: Points
+    ) -> tuple[Points, Points, Points]:
+        """dM(a2, 3/2, z)/dz, h2' and e' at f, from M(a2 + 1, 5/2, z)."""
+        dm2 = (self.a2 / 1.5) * m2p
+        h2p = -((self.sqrt_rho / self.sigma) * m2 + (2.0 * self.r15 * u * u / self.s3) * dm2)
+        return dm2, h2p, c2 * h2p + 1.0 / self.one_alpha_rho
+
+    def curvature(self, c2: float, u: Points, u3: Points, dm2: Points, m2pp: Points) -> Points:
+        """e'' at f, from M(a2 + 2, 7/2, z) and u**3."""
+        d2m2 = (self.a2 * (self.a2 + 1.0) / (1.5 * 2.5)) * m2pp
+        return c2 * ((6.0 * self.r15 * u / self.s3) * dm2 + (4.0 * self.r25 * u3 / self.s5) * d2m2)
+
+
+def _solution(params: ModelParams) -> _Solution:
+    """Derive a2 and the powers of rho and sigma, raising ParameterError (rho, sigma)."""
     rho, sigma = params.rho, params.sigma
     alpha_rho, two_alpha_rho = params.alpha * rho, 2.0 * params.alpha * rho
     a2 = (1.0 + alpha_rho) / two_alpha_rho if two_alpha_rho else math.inf
@@ -88,9 +133,18 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
         sqrt_rho, r15, r25 = math.sqrt(rho), rho**1.5, rho**2.5
     except OverflowError:
         raise ParameterError(f"rho**2.5 overflows at rho={rho}", "rho") from None
+    return _Solution(a2, rho, sigma, s2, s3, s5, sqrt_rho, r15, r25, 1.0 + alpha_rho)
 
+
+def _jet(solution: _Solution, c2: float, f: Points) -> _Jet:
+    """Evaluate the stationary solution and its first two df-derivatives at f.
+
+    The Kummer values M(a2, 3/2, z), M(a2+1, 5/2, z) and M(a2+2, 7/2, z) are
+    computed once each, on floats or on (point, k) lanes.
+    """
+    a2 = solution.a2
     u = 0.0 - f  # not -f: u at f = +0.0 must be +0.0, or the curvature's sign flips
-    z = rho * u * u / s2
+    z = solution.z(u)
     if isinstance(z, np.ndarray):
         # Lanes (point, k): a lane error is the one a loop over f would meet first.
         m = kummer_m(a2 + _FAMILY, _FAMILY + 1.5, z[..., None])
@@ -102,20 +156,39 @@ def _jet(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
         m2p = kummer_m(a2 + 1.0, 2.5, z)
         m2pp = kummer_m(a2 + 2.0, 3.5, z)
         u3 = u**3
-    m2p = (a2 / 1.5) * m2p
-    m2pp = (a2 * (a2 + 1.0) / (1.5 * 2.5)) * m2pp
-    h2 = (sqrt_rho * u / sigma) * m2
-    h2p = -((sqrt_rho / sigma) * m2 + (2.0 * r15 * u * u / s3) * m2p)
-    h2pp = (6.0 * r15 * u / s3) * m2p + (4.0 * r25 * u3 / s5) * m2pp
+    h2, value = solution.value(c2, f, u, m2)
+    dm2, h2p, slope = solution.slope(c2, u, m2, m2p)
+    return _Jet(value, slope, solution.curvature(c2, u, u3, dm2, m2pp), h2, h2p)
 
-    particular = f / (1.0 + alpha_rho)
-    return _Jet(
-        value=coefs.c2 * h2 + particular,
-        slope=coefs.c2 * h2p + 1.0 / (1.0 + alpha_rho),
-        curvature=coefs.c2 * h2pp,
-        h2=h2,
-        h2p=h2p,
-    )
+
+def _trial(
+    solution: _Solution, e_bar: float, c2: float, f: float, norm: float
+) -> tuple[_Jet, tuple[float, float], float] | None:
+    """Newton's trial point (c2, f): its jet, residuals and norm if the norm drops below `norm`.
+
+    Returns None for a rejected point, as soon as one is certain: each stage
+    adds one Kummer value. The value residual r0 alone rejects when
+    |r0| >= norm or r0 is NaN, since the norm max(|r0|, |r1|) is then no
+    smaller (even for a NaN r1, which Python's max passes over). Only a point
+    that passes pays for the curvature, which the next Jacobian needs; one
+    whose curvature overflows or whose Kummer series raises is rejected too.
+    """
+    try:
+        u = 0.0 - f
+        z = solution.z(u)
+        m2 = kummer_m(solution.a2, 1.5, z)
+        h2, value = solution.value(c2, f, u, m2)
+        r0 = value - e_bar
+        if not abs(r0) < norm:
+            return None
+        dm2, h2p, slope = solution.slope(c2, u, m2, kummer_m(solution.a2 + 1.0, 2.5, z))
+        norm_new = max(abs(r0), abs(slope))
+        if not norm_new < norm:
+            return None
+        curvature = solution.curvature(c2, u, u**3, dm2, kummer_m(solution.a2 + 2.0, 3.5, z))
+    except (OverflowError, ConvergenceError):
+        return None
+    return _Jet(value, slope, curvature, h2, h2p), (r0, slope), norm_new
 
 
 def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
@@ -125,8 +198,8 @@ def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _J
     """
     if isinstance(f, np.ndarray):
         with np.errstate(all="ignore"):
-            return _jet(params, coefs, f)
-    return _jet(params, coefs, f)
+            return _jet(_solution(params), coefs.c2, f)
+    return _jet(_solution(params), coefs.c2, f)
 
 
 def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
@@ -161,7 +234,7 @@ def stationary_ode_residual(
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     f = np.asarray(f_grid, dtype=float)
     with np.errstate(all="ignore"):  # see _jet_at
-        e, ep, epp, _, _ = _jet(params, coefs, f)
+        e, ep, epp, _, _ = _jet(_solution(params), coefs.c2, f)
         return 0.5 * a * s2 * epp - a * r * f * ep - e + f
 
 
@@ -177,25 +250,20 @@ def calibrate_symmetric(
     f_bar = (1 + alpha*rho)*e_bar with c2 = 0.
     """
     check_e_bar(e_bar)
-
-    def trial(c2: float, f_bar: float) -> tuple[_Jet | None, tuple[float, float], float]:
-        """Jet, residuals and residual norm at one point; a NaN norm rejects it."""
-        try:
-            jet = _jet(params, StationaryCoefficients(c2), f_bar)
-        except (OverflowError, ConvergenceError):
-            return None, (math.nan, math.nan), math.nan
-        res = (jet.value - e_bar, jet.slope)
-        return jet, res, max(abs(res[0]), abs(res[1]))
+    solution = _solution(params)
 
     c2 = 0.0
     f_bar = (1.0 + params.alpha * params.rho) * e_bar
-    jet, res, norm = trial(c2, f_bar)
-    if jet is None:
+    try:  # the full jet, rejecting nothing: the initial guess is not a trial
+        jet = _jet(solution, c2, f_bar)
+    except (OverflowError, ConvergenceError):
         raise CalibrationError(
             f"the stationary solution overflows or its Kummer series fails at the initial guess "
             f"f_bar={f_bar}",
-            np.array(res),
-        )
+            np.array((math.nan, math.nan)),
+        ) from None
+    res = (jet.value - e_bar, jet.slope)
+    norm = max(abs(res[0]), abs(res[1]))
 
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _NEWTON_TOL:
@@ -217,8 +285,8 @@ def calibrate_symmetric(
         while True:
             c2_new, f_new = c2 + lam * step[0], f_bar + lam * step[1]
             if f_new > 0:
-                jet_new, res_new, norm_new = trial(c2_new, f_new)
-                if norm_new < norm:
+                accepted = _trial(solution, e_bar, c2_new, f_new, norm)
+                if accepted is not None:
                     break
             lam *= 0.5
             if lam < 1e-12:
@@ -227,7 +295,8 @@ def calibrate_symmetric(
                     f"e_bar={e_bar} may admit no smooth-pasting solution",
                     np.array(res),
                 )
-        c2, f_bar, jet, res, norm = c2_new, f_new, jet_new, res_new, norm_new
+        c2, f_bar = c2_new, f_new
+        jet, res, norm = accepted
 
     raise CalibrationError(
         f"calibration did not converge in {_NEWTON_MAX_ITER} iterations "

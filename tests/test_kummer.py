@@ -93,6 +93,15 @@ def test_pole_b_raises(b):
         kummer_m_dz(1.0, b, 0.5)
 
 
+def test_minus_infinite_b_is_a_keyed_error():
+    # The poles pile up towards b = -inf; math.floor(-inf) raised an untyped OverflowError.
+    with pytest.raises(ParameterError) as scalar:
+        kummer_m(1.0, -math.inf, 0.5)
+    with pytest.raises(ParameterError) as lanes:
+        kummer_m(np.array([1.0, 1.0]), np.array([1.5, -math.inf]), np.array([0.5, 0.5]))
+    assert scalar.value.key == lanes.value.key == "b"
+
+
 def test_negative_noninteger_b_is_fine():
     assert math.isfinite(kummer_m(1.0, -0.5, 0.2))
 

@@ -130,22 +130,28 @@ def test_evaluators_on_an_array_give_the_float_bits(case):
             assert [x.hex() for x in lanes.tolist()] == [x.hex() for x in floats]
 
 
+def _count_kummer_calls(monkeypatch):
+    """Count the calls the stationary layer makes to kummer_m, through its module-level name."""
+    import targetzone.stationary as stationary_mod
+
+    calls = [0]
+
+    def counting_kummer_m(*args):
+        calls[0] += 1
+        return kummer_m(*args)
+
+    monkeypatch.setattr(stationary_mod, "kummer_m", counting_kummer_m)
+    return calls
+
+
 @pytest.mark.parametrize(("c2", "calls"), [(0.0, 3), (-0.0, 3)])
 def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c2, calls):
     # Only the odd family M(a2 + k, 3/2 + k, .) is evaluated, and all of it
     # even at c2 = 0, where Newton starts and still needs h2 and h2'.
-    import targetzone.stationary as stationary_mod
-
-    seen = []
-
-    def counting_kummer_m(*args, **kwargs):
-        seen.append(args)
-        return kummer_m(*args, **kwargs)
-
-    monkeypatch.setattr(stationary_mod, "kummer_m", counting_kummer_m)
+    seen = _count_kummer_calls(monkeypatch)
     params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12)
     eval_stationary_curvature(params, StationaryCoefficients(c2), 0.05)
-    assert len(seen) == calls
+    assert seen[0] == calls
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +222,19 @@ DESIGN_CUBE_HI = (50.0, 20.0, 0.3, 0.2)
 PINNED_DESIGN_SHA256 = "718ef78d7fd02d1ca799c1be0ff24f89e4fc76bb6852ca87e80f788756a4694c"
 
 
-def _design_records():
+def _design_points():
+    """The design's 64 (params, e_bar)."""
     # math.exp on Python floats: numpy's SIMD exp may round differently by CPU.
     logs = [(math.log(lo), math.log(hi)) for lo, hi in zip(DESIGN_CUBE_LO, DESIGN_CUBE_HI)]
+    points = []
     for u in np.random.default_rng(20_261).random((64, 4)).tolist():
         alpha, rho, sigma, e_bar = (math.exp(lo + x * (hi - lo)) for x, (lo, hi) in zip(u, logs))
-        params = ModelParams(alpha, rho, sigma)
+        points.append((ModelParams(alpha, rho, sigma), e_bar))
+    return points
+
+
+def _design_records():
+    for params, e_bar in _design_points():
         try:
             coefs, band = calibrate_symmetric(params, e_bar)
         except TargetZoneError as exc:
@@ -242,6 +255,22 @@ def test_calibration_bits_are_pinned_over_a_design():
     records = list(_design_records())
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == PINNED_DESIGN_SHA256
+
+
+def test_calibration_kummer_calls_are_counted(monkeypatch):
+    # A Newton trial evaluates each Kummer value only if its accept/reject
+    # decision needs it. At the reference every trial is accepted, so 6 jets
+    # of 3 calls each. Over the design, full-jet trials made 18604 calls.
+    calls = _count_kummer_calls(monkeypatch)
+    calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 0.01)
+    assert calls[0] == 18
+    calls[0] = 0
+    for params, e_bar in _design_points():
+        try:
+            calibrate_symmetric(params, e_bar)
+        except TargetZoneError:
+            pass
+    assert calls[0] == 12317
 
 
 def test_calibration_matches_bisection_oracle(calibrated):
@@ -439,23 +468,108 @@ def test_calibration_error_carries_residuals(monkeypatch):
 
 def test_overflowing_trial_point_is_a_rejected_step(monkeypatch):
     # A float power raises OverflowError where a numpy scalar gave inf. Newton
-    # must reject such a trial point, as it rejects a NaN residual, and go on.
+    # must reject such a trial point, at whichever of its three Kummer values
+    # it is raised, as it rejects a NaN residual, and go on.
     import targetzone.stationary as stationary_mod
 
-    real_jet = stationary_mod._jet
-    overflowed = []
+    for stage_b in (1.5, 2.5, 3.5):
+        overflowed = []
 
-    def jet(params, coefs, f):
-        if f > 0.09:  # the reference run's second Newton step lands at 0.0915
-            overflowed.append(f)
-            raise OverflowError("simulated")
-        return real_jet(params, coefs, f)
+        def overflowing_kummer_m(a, b, z):
+            if b == stage_b and z > 0.81:  # f > 0.09: the reference's second step lands at 0.0915
+                overflowed.append(z)
+                raise OverflowError("simulated")
+            return kummer_m(a, b, z)
 
-    monkeypatch.setattr(stationary_mod, "_jet", jet)
-    coefs, band = calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 0.01)
-    assert overflowed
-    assert band.f_hi == pytest.approx(OU_F_BAR, rel=1e-12)
-    assert coefs.c2 == pytest.approx(OU_C2, rel=1e-10)
+        with monkeypatch.context() as patch:
+            patch.setattr(stationary_mod, "kummer_m", overflowing_kummer_m)
+            coefs, band = calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 0.01)
+        assert overflowed
+        assert band.f_hi == pytest.approx(OU_F_BAR, rel=1e-12)
+        assert coefs.c2 == pytest.approx(OU_C2, rel=1e-10)
+
+
+def _full_jet_trial(solution, e_bar, c2, f, norm):
+    """A trial decided on the full jet: all three Kummer values and u**3, then the norm."""
+    import targetzone.stationary as stationary_mod
+
+    try:
+        jet = stationary_mod._jet(solution, c2, f)
+    except (OverflowError, ConvergenceError):
+        return None
+    res = (jet.value - e_bar, jet.slope)
+    norm_new = max(abs(res[0]), abs(res[1]))
+    return (jet, res, norm_new) if norm_new < norm else None
+
+
+def _trial_bits(outcome):
+    if outcome is None:
+        return None
+    jet, res, norm = outcome
+    return [float(x).hex() for x in (*jet, *res, norm)]
+
+
+def _staged_trial_case(case):
+    """(params, e_bar, c2 values, f values) of a grid of trial points."""
+    # Design points 28 and 30 are the design's two 100-iteration failures;
+    # the grid spans the (c2, f) box of their Newton trials.
+    boxes = {
+        "design 28": (28, (0.14, 0.73), (0.0025, 0.7)),
+        "design 30": (30, (0.7, 3.6), (0.0022, 0.29)),
+    }
+    if case in boxes:
+        index, c2_box, f_box = boxes[case]
+        params, e_bar = _design_points()[index]
+        return params, e_bar, np.linspace(*c2_box, 9).tolist(), np.geomspace(*f_box, 13).tolist()
+    if case == "reference":
+        # Up to f = 1.84825 (z = 341.6028) every Kummer value converges; at
+        # 1.848254 M(a2 + 2, 7/2, z) alone needs more than 500 terms.
+        f = [*np.geomspace(0.01, 1.84, 13).tolist(), 1.84825, 1.848254]
+        return ModelParams(3.0, 1.0, 0.1), 0.01, np.linspace(-0.01, 0.03, 9).tolist(), f
+    if case == "u**3 overflows":
+        # z = 100 and every Kummer value converges, but u**3 = -1e309.
+        return ModelParams(1e82, 1e-82, 1e61), 0.01, [0.0, 1.0], [1e103]
+    # r1 is NaN: rho**1.5 underflows to 0 and (a2/1.5)*M(a2 + 1, 5/2, z) to inf.
+    return ModelParams(3.0, 1e-300, 0.1), 0.01, [0.0, 1.0], [3.5]
+
+
+@pytest.mark.parametrize(
+    "case", ["reference", "design 28", "design 30", "u**3 overflows", "r1 is nan"]
+)
+def test_staged_trial_accepts_what_the_full_jet_accepts(monkeypatch, case):
+    # Newton's trial stops at the first Kummer value that rejects it. Against
+    # the full jet it must accept the same points, with the same bits, for
+    # any norm to beat: inf, and the full jets' norm quartiles on the grid.
+    import targetzone.stationary as stationary_mod
+
+    params, e_bar, c2s, fs = _staged_trial_case(case)
+    solution = stationary_mod._solution(params)
+    grid = [(c2, f) for c2 in c2s for f in fs]
+    finite = [
+        outcome[2]
+        for outcome in (_full_jet_trial(solution, e_bar, c2, f, math.inf) for c2, f in grid)
+        if outcome is not None
+    ]
+    norms = [math.inf, *(np.quantile(finite, [0.25, 0.5, 0.75]).tolist() if finite else [])]
+    calls = _count_kummer_calls(monkeypatch)
+    stages = set()
+    for c2, f in grid:
+        for norm in norms:
+            expected = _trial_bits(_full_jet_trial(solution, e_bar, c2, f, norm))
+            calls[0] = 0
+            staged = _trial_bits(stationary_mod._trial(solution, e_bar, c2, f, norm))
+            assert staged == expected, (c2, f, norm)
+            stages.add((calls[0], staged is not None))
+    # Kummer calls made, and whether the point was accepted.
+    if case == "u**3 overflows":
+        assert stages == {(2, False)}  # the curvature stage raises at u**3
+    elif case == "r1 is nan":
+        assert math.isnan(_full_jet_trial(solution, e_bar, 0.0, 3.5, math.inf)[0].slope)
+        assert (3, True) in stages
+    else:
+        assert {(1, False), (2, False), (3, True)} <= stages
+    if case == "reference":
+        assert (3, False) in stages  # the Kummer series of the curvature raises
 
 
 def test_overflow_at_the_initial_guess_is_a_calibration_error():
