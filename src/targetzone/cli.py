@@ -80,25 +80,14 @@ def _param_pairs(config: RunConfig) -> list[tuple[str, object]]:
 class _Calibrated(NamedTuple):
     """A calibrated stationary model: band, evaluators and report lines.
 
-    `value` takes a float or an array of f; `slope` takes a float.
+    `value` and `slope` each take a float or an array of f.
     """
 
     band: Band
     value: Callable
-    slope: Callable[[float], float]
+    slope: Callable
     pairs: list[tuple[str, object]]
     tag: str  # names the model's figure-4 curve file
-
-
-def _per_point(evaluate: Callable[[float], float]) -> Callable:
-    """Apply a float evaluator to a float, or point by point to an array."""
-
-    def apply(f):
-        if isinstance(f, np.ndarray):
-            return np.array([evaluate(x) for x in f.tolist()])
-        return evaluate(f)
-
-    return apply
 
 
 def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
@@ -107,8 +96,7 @@ def _calibrated_band(params: ModelParams, e_bar: float) -> _Calibrated:
         bm, band = calibrate_bm(params.alpha, params.sigma, e_bar)
         return _Calibrated(
             band,
-            # Per point: np.exp rounds differently from math.exp in some lanes.
-            _per_point(lambda f: eval_stationary_bm(bm, f)),
+            lambda f: eval_stationary_bm(bm, f),
             lambda f: eval_stationary_bm_slope(bm, f),
             [("model", "bm"), ("lambda", bm.lam)],
             "bm",

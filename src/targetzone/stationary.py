@@ -16,14 +16,17 @@ smooth-pasting conditions at the upper edge; `calibrate_symmetric` solves
 that 2x2 system by damped Newton with the analytic Jacobian. `calibrate_bm`
 provides the rho -> 0 (regulated Brownian motion) reference in closed form,
 evaluated in a form normalised at the band edge so that nothing overflows.
+Its evaluators take a float f or an array of any shape; an array is mapped
+point by point through the float code (math.exp, whose bits np.exp does not
+always give), and the first point in C order whose factor overflows raises.
 
-Value, slope and curvature come from one jet, at a float f or over an
-array of them. `_solution` derives a2 and the powers of rho and sigma once,
-raising ParameterError (key rho or sigma) where one is not a usable float;
-the jet then takes the three Kummer values M(a2 + k, 3/2 + k, z),
-k = 0, 1, 2: three float calls at a float, one call on (points, 3) lanes over
-an array. Each lane repeats the float arithmetic, so an array gives the
-float calls' bits point by point.
+The OU evaluators take value, slope and curvature from one jet, at a float
+f or over an array of them. `_solution` derives a2 and the powers of rho and
+sigma once, raising ParameterError (key rho or sigma) where one is not a
+usable float; the jet then takes the three Kummer values
+M(a2 + k, 3/2 + k, z), k = 0, 1, 2: three float calls at a float, one call
+on (points, 3) lanes over an array. Each lane repeats the float arithmetic,
+so an array gives the float calls' bits point by point.
 
 Newton derives these constants once per calibration and evaluates its trial
 points on floats in stages, through the same formulas: M(a2, 3/2, z) gives
@@ -34,12 +37,14 @@ for the curvature, which the next Jacobian needs. So a trial accepts
 exactly the points its full jet would, with the same bits, and a rejected
 one stops at the residual that rejects it. A trial point whose jet
 overflows or whose Kummer series raises is rejected like a NaN residual.
+The initial guess is the first trial, with an infinite norm to beat; where
+it is rejected, the calibration fails.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -192,14 +197,12 @@ def _trial(
 
 
 def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
-    """`_jet` at a float, or over an array with numpy's float warnings off.
+    """`_jet` at a float or over an array, with numpy's float warnings off.
 
     Python floats overflow to inf and nan silently; the lanes must too.
     """
-    if isinstance(f, np.ndarray):
-        with np.errstate(all="ignore"):
-            return _jet(_solution(params), coefs.c2, f)
-    return _jet(_solution(params), coefs.c2, f)
+    with np.errstate(all="ignore"):
+        return _jet(_solution(params), coefs.c2, f)
 
 
 def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
@@ -233,8 +236,8 @@ def stationary_ode_residual(
     """
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     f = np.asarray(f_grid, dtype=float)
+    e, ep, epp, _, _ = _jet_at(params, coefs, f)
     with np.errstate(all="ignore"):  # see _jet_at
-        e, ep, epp, _, _ = _jet(_solution(params), coefs.c2, f)
         return 0.5 * a * s2 * epp - a * r * f * ep - e + f
 
 
@@ -254,16 +257,14 @@ def calibrate_symmetric(
 
     c2 = 0.0
     f_bar = (1.0 + params.alpha * params.rho) * e_bar
-    try:  # the full jet, rejecting nothing: the initial guess is not a trial
-        jet = _jet(solution, c2, f_bar)
-    except (OverflowError, ConvergenceError):
+    accepted = _trial(solution, e_bar, c2, f_bar, math.inf)
+    if accepted is None:
         raise CalibrationError(
             f"the stationary solution overflows or its Kummer series fails at the initial guess "
             f"f_bar={f_bar}",
             np.array((math.nan, math.nan)),
-        ) from None
-    res = (jet.value - e_bar, jet.slope)
-    norm = max(abs(res[0]), abs(res[1]))
+        )
+    jet, res, norm = accepted
 
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _NEWTON_TOL:
@@ -324,11 +325,10 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
     def gap(f_bar: float) -> float:
         return f_bar - math.tanh(lam * f_bar) / lam - e_bar
 
-    # gap(0) = -e_bar < 0 and gap(e_bar + 1/lam) > 0: guaranteed bracket.
-    try:
-        f_bar = brentq(gap, 0.0, e_bar + 1.0 / lam, xtol=1e-16, rtol=8.9e-16)
-    except ValueError as exc:
-        raise CalibrationError(f"no smooth-pasting root for e_bar={e_bar}") from exc
+    # gap(0) = -e_bar < 0 and gap(hi) = (1 - tanh(lam*hi))/lam >= 0. Once tanh(lam*hi)
+    # rounds to 1, hi is the root to rounding and the computed gap(hi) may be below 0.
+    hi = e_bar + 1.0 / lam
+    f_bar = hi if gap(hi) <= 0 else brentq(gap, 0.0, hi, xtol=1e-16, rtol=8.9e-16)
     return BmStationaryCoefficients(lam, f_bar), Band(-f_bar, f_bar, -e_bar, e_bar)
 
 
@@ -347,11 +347,18 @@ def _bm_edge_ratio(coefs: BmStationaryCoefficients, f: float, sign: float) -> fl
     return scale * (1.0 + sign * math.exp(-2.0 * lam * x)) / edge
 
 
-def eval_stationary_bm(coefs: BmStationaryCoefficients, f: float) -> float:
+def _bm_at(evaluate: Callable[[float], float], f: Points) -> Points:
+    """`evaluate` at a float, or point by point over an array, keeping its shape (see above)."""
+    if isinstance(f, np.ndarray):
+        return np.reshape([evaluate(x) for x in f.ravel().tolist()], f.shape)
+    return evaluate(f)
+
+
+def eval_stationary_bm(coefs: BmStationaryCoefficients, f: Points) -> Points:
     """Brownian-motion stationary rate f + a*(e^{lf} - e^{-lf}) = f - sinh(lf)/(l*cosh(l*f_bar))."""
-    return f - math.copysign(_bm_edge_ratio(coefs, f, -1.0), f) / coefs.lam
+    return _bm_at(lambda x: x - math.copysign(_bm_edge_ratio(coefs, x, -1.0), x) / coefs.lam, f)
 
 
-def eval_stationary_bm_slope(coefs: BmStationaryCoefficients, f: float) -> float:
+def eval_stationary_bm_slope(coefs: BmStationaryCoefficients, f: Points) -> Points:
     """Slope of the Brownian-motion stationary rate, 1 - cosh(lf)/cosh(l*f_bar)."""
-    return 1.0 - _bm_edge_ratio(coefs, f, 1.0)
+    return _bm_at(lambda x: 1.0 - _bm_edge_ratio(coefs, x, 1.0), f)

@@ -117,6 +117,19 @@ def test_keyed_error_reads_key_colon_message():
             id="eval-alpha-rho-overflow",
         ),
         pytest.param(lambda: slice_at(FLAT_SURFACE, 2.0), ParameterError, "t", id="slice-t"),
+        # ModelParams' sign rules, which no other test reaches (CLI cases below too).
+        pytest.param(
+            lambda: ModelParams(3.0, 1.0, -0.1), ParameterError, "sigma", id="params-sigma-negative"
+        ),
+        pytest.param(
+            lambda: ModelParams(3.0, -1.0, 0.1), ParameterError, "rho", id="params-rho-negative"
+        ),
+        pytest.param(
+            lambda: ModelParams(3.0, 1.0, 0.1, horizon=0.0),
+            ParameterError,
+            "horizon",
+            id="params-horizon-zero",
+        ),
         pytest.param(
             lambda: Band(0.1, -0.1, -0.01, 0.01), ParameterError, "f_lo", id="band-f-reversed"
         ),
@@ -185,6 +198,9 @@ def test_keyed_error_reads_key_colon_message():
             id="cli-bm-lambda-inf",
         ),
         pytest.param(["calibrate", "--sigma", "1e-70"], None, "sigma", id="cli-sigma-1e-70"),
+        pytest.param(["calibrate", "--sigma", "-0.1"], None, "sigma", id="cli-sigma-negative"),
+        pytest.param(["calibrate", "--rho", "-1"], None, "rho", id="cli-rho-negative"),
+        pytest.param(["calibrate", "--horizon", "0"], None, "horizon", id="cli-horizon-zero"),
         pytest.param(["solve", "--rho", "0", "--sigma", "1e-170"], None, "sigma", id="cli-bm"),
         pytest.param(
             ["calibrate", "--alpha", "1e-200", "--rho", "1e-200"], None, "rho", id="cli-rho-tiny"

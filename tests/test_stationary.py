@@ -420,6 +420,50 @@ def test_bm_requires_positive_arguments():
         calibrate_bm(3.0, 0.1, 0.0)
 
 
+# At hi = e_bar + 1/lam, the end of the root's bracket, gap(hi) = (1 - tanh(lam*hi))/lam
+# is >= 0 exactly, but once tanh rounds to 1 the computed gap fell below 0 and
+# these were refused although hi is the root to rounding. The first seven are
+# alpha = 3, sigma = 0.1; the rest are log-uniform draws over alpha in
+# [0.5, 50], sigma in [0.01, 0.3] and e_bar in [1e-3, 100].
+@pytest.mark.parametrize(
+    ("alpha", "sigma", "e_bar"),
+    [
+        *((3.0, 0.1, e_bar) for e_bar in (15.89, 15.91, 15.93, 15.95, 15.96, 15.98, 16.0)),
+        (1.5431888567838876, 0.09994073118641864, 1.9803044514999064),
+        (3.4349656983961516, 0.018401686504078345, 0.47731621167022503),
+        (1.512330954022331, 0.011077797986797361, 0.19540070983297916),
+        (30.79416051609487, 0.2507711313487685, 63.322498515456296),
+        (1.9282515947389136, 0.2097776022805353, 58.643456773368975),
+    ],
+)
+def test_bm_calibrates_where_tanh_rounds_to_one(alpha, sigma, e_bar):
+    coefs, band = calibrate_bm(alpha, sigma, e_bar)
+    assert band.f_hi == e_bar + 1.0 / coefs.lam
+    assert abs(eval_stationary_bm(coefs, band.f_hi) - e_bar) <= 2.0 * math.ulp(e_bar)
+    assert eval_stationary_bm_slope(coefs, band.f_hi) == 0.0
+
+
+@pytest.mark.parametrize("evaluate", [eval_stationary_bm, eval_stationary_bm_slope])
+def test_bm_evaluators_on_an_array_give_the_float_bits(evaluate):
+    coefs, band = calibrate_bm(3.0, 0.1, 0.01)
+    f = [0.0, -0.0, *np.linspace(-band.f_hi, band.f_hi, 7).tolist(), 0.5, -1.0, 3.0]
+    expected = [float(evaluate(coefs, x)).hex() for x in f]
+    assert all(isinstance(evaluate(coefs, x), float) for x in f)
+    for points in (np.array(f), np.array(f).reshape(3, 4), np.array(f[:1]).reshape(())):
+        values = evaluate(coefs, points)
+        assert isinstance(values, np.ndarray) and values.shape == points.shape
+        assert [x.hex() for x in values.ravel().tolist()] == expected[: values.size]
+
+
+# An array used to end in an untyped TypeError.
+@pytest.mark.parametrize("evaluate", [eval_stationary_bm, eval_stationary_bm_slope])
+def test_bm_evaluators_on_an_array_raise_at_the_first_overflowing_point(evaluate):
+    coefs, _ = calibrate_bm(3.0, 0.1, 0.01)
+    with pytest.raises(ParameterError, match=r"at f=100\.0$") as excinfo:
+        evaluate(coefs, np.array([0.0, 100.0, -200.0]))
+    assert excinfo.value.key == "f"
+
+
 # ---------------------------------------------------------------------------
 # relation between the two specifications
 # ---------------------------------------------------------------------------
@@ -576,6 +620,17 @@ def test_overflow_at_the_initial_guess_is_a_calibration_error():
     # f_bar = 4e110 at the initial guess: f**3 overflows a float.
     with pytest.raises(CalibrationError, match="overflows"):
         calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.1), 1e110)
+
+
+def test_kummer_failure_at_the_initial_guess_is_a_calibration_error():
+    # z = 6400 at the initial guess f_bar = 0.8: M(a2, 3/2, z) needs more than 500 terms.
+    with pytest.raises(CalibrationError) as excinfo:
+        calibrate_symmetric(ModelParams(alpha=3.0, rho=1.0, sigma=0.01), 0.2)
+    assert str(excinfo.value) == (
+        "the stationary solution overflows or its Kummer series fails at the initial guess "
+        "f_bar=0.8"
+    )
+    assert np.isnan(excinfo.value.residuals).all() and excinfo.value.residuals.shape == (2,)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
