@@ -16,9 +16,11 @@ smooth-pasting conditions at the upper edge; `calibrate_symmetric` solves
 that 2x2 system by damped Newton with the analytic Jacobian. `calibrate_bm`
 provides the rho -> 0 (regulated Brownian motion) reference in closed form,
 evaluated in a form normalised at the band edge so that nothing overflows.
-Its evaluators take a float f or an array of any shape; an array is mapped
-point by point through the float code (math.exp, whose bits np.exp does not
-always give), and the first point in C order whose factor overflows raises.
+Its evaluators take a float f or an array of any shape; an array of one or
+more dimensions is mapped point by point through the float code (math.exp,
+whose bits np.exp does not always give), and the first point in C order
+whose factor overflows raises. A 0-d array goes through the float code as
+it is and gives a float, as at the OU evaluators.
 
 The OU evaluators take value, slope and curvature from one jet, at a float
 f or over an array of them. `_solution` derives a2 and the powers of rho and
@@ -348,8 +350,8 @@ def _bm_edge_ratio(coefs: BmStationaryCoefficients, f: float, sign: float) -> fl
 
 
 def _bm_at(evaluate: Callable[[float], float], f: Points) -> Points:
-    """`evaluate` at a float, or point by point over an array, keeping its shape (see above)."""
-    if isinstance(f, np.ndarray):
+    """`evaluate` at a float or 0-d array, or point by point over an array (see above)."""
+    if isinstance(f, np.ndarray) and f.ndim >= 1:
         return np.reshape([evaluate(x) for x in f.ravel().tolist()], f.shape)
     return evaluate(f)
 

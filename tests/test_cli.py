@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from targetzone.cli import _fmt, _write_surface, main
+from targetzone.cli import _LINE_WORDS, _fmt, _g12_lines, _write_surface, main
 from targetzone.pde import Surface
 
 from reference_values import BM_F_BAR, OU_C2, OU_F_BAR
@@ -15,6 +15,8 @@ FAST_MC = ["--paths", "2000", "--dt", "0.01"]
 # SHA-256 of the surface CSV at `--nf 41 --nt 300` and the default parameters.
 PINNED_GRID = ["--nf", "41", "--nt", "300"]
 PINNED_SURFACE_SHA256 = "4745c9cadde767b7235e82a4b122b9a86aa2d5b3f1b9ab6e34b39231f394b587"
+# The same at the default 401 x 3000 grid, the reference surface.
+REFERENCE_SURFACE_SHA256 = "8391be7ad1db8854c6ef7d8ed486c3f3cce7bd370bfc26bd5c3708422e7225cf"
 
 
 def _read_csv(path):
@@ -130,12 +132,22 @@ def test_solve_surface_bytes_are_pinned(tmp_path):
     assert digest == PINNED_SURFACE_SHA256
 
 
+def test_reference_surface_bytes_are_pinned(tmp_path):
+    # 1.2M e values at the default grid: every exponent class and near-tie
+    # the surface holds goes through the CSV writer.
+    out_path = tmp_path / "surface.csv"
+    assert main(["solve", "--out", str(out_path)]) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == REFERENCE_SURFACE_SHA256
+
+
 def test_surface_writer_matches_row_formatter_on_awkward_floats(tmp_path):
     awkward = [-0.0, 0.0, 5e-324, 1e22, 0.1 + 0.2, 3.0, -1.5e-7, 999999999999.5, 1e-5, 1 / 3]
-    t_axis = np.array([0.0, 0.1 + 0.2, 1e22])
+    awkward += [9.9999999999995e-5, 0.00099999999999995, 1e-4]
+    t_axis = np.array([0.0, 0.1 + 0.2, 2.5, 1e22])
     f_axis = np.array([-1.5e-7, -0.0, 5e-324, 1 / 3])
-    values = np.resize(np.array(awkward), (3, 4))
-    values[2, 1:] = (np.inf, -np.inf, np.nan)
+    values = np.resize(np.array(awkward), (4, 4))
+    values[3, 1:] = (np.inf, -np.inf, np.nan)
     surface = Surface(t_axis, f_axis, values)
 
     out_path = tmp_path / "surface.csv"
@@ -146,6 +158,45 @@ def test_surface_writer_matches_row_formatter_on_awkward_floats(tmp_path):
         for f, e in zip(f_axis.tolist(), row)
     )
     assert out_path.read_bytes() == expected.encode()
+
+
+def _ulps_around(x, n):
+    """x and the n doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.concatenate([*below[1:], *above])
+
+
+def _formatter_design():
+    rng = np.random.default_rng(2115)
+    mantissas = ("1", "1.5", "3.14159265358979", "9.99999999999949", "9.9999999999995")
+    exponents = [float(f"{m}e{k}") for m in mantissas for k in range(-320, 309)]
+    # (k + 0.5)*10^m with 12-digit k, for 12-digit exponents -6 ... 1
+    ties = np.concatenate([
+        (rng.integers(10**11, 10**12, 300) + 0.5) * 10.0 ** (x - 11) for x in range(-6, 2)
+    ])
+    near_one = 1.0 - rng.uniform(0, 1e-12, 100)
+    design = np.concatenate([
+        [0.0, 5e-324, np.inf, np.nan],
+        exponents,
+        _ulps_around(np.array([float(f"1e{k}") for k in range(-7, 14)]), 3),
+        _ulps_around(np.array([9.99999999999995e-5, 9.99999999999995e-2]), 3),
+        _ulps_around(ties, 3),
+        near_one,
+        rng.uniform(0, 1, 2000),
+        10.0 ** rng.uniform(-6, 1, 2000),
+    ])
+    return np.concatenate([design, -design])
+
+
+def test_surface_e_formatter_matches_percent_12g_byte_for_byte():
+    values = _formatter_design()
+    out = np.empty((len(values), _LINE_WORDS), np.uint32)
+    _g12_lines(values, out)
+    texts = [bytes(row).replace(b"\0", b"") for row in out.view(np.uint8)]
+    assert texts == [("%.12g\n" % v).encode() for v in values.tolist()]
 
 
 def test_solve_invalid_grid_fails_with_key(capsys):

@@ -449,10 +449,35 @@ def test_bm_evaluators_on_an_array_give_the_float_bits(evaluate):
     f = [0.0, -0.0, *np.linspace(-band.f_hi, band.f_hi, 7).tolist(), 0.5, -1.0, 3.0]
     expected = [float(evaluate(coefs, x)).hex() for x in f]
     assert all(isinstance(evaluate(coefs, x), float) for x in f)
-    for points in (np.array(f), np.array(f).reshape(3, 4), np.array(f[:1]).reshape(())):
+    for points in (np.array(f), np.array(f).reshape(3, 4)):
         values = evaluate(coefs, points)
         assert isinstance(values, np.ndarray) and values.shape == points.shape
         assert [x.hex() for x in values.ravel().tolist()] == expected[: values.size]
+
+
+# The BM evaluators used to give a 0-d array here, the OU evaluators a float.
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        eval_stationary,
+        eval_stationary_slope,
+        eval_stationary_curvature,
+        eval_stationary_bm,
+        eval_stationary_bm_slope,
+    ],
+    ids=lambda evaluate: evaluate.__name__,
+)
+def test_evaluators_give_a_float_for_a_0d_array(evaluate, base_params, calibrated):
+    if evaluate in (eval_stationary_bm, eval_stationary_bm_slope):
+        coefs, band = calibrate_bm(3.0, 0.1, 0.01)
+        args = (coefs,)
+    else:
+        coefs, band = calibrated
+        args = (base_params, coefs)
+    for f in (0.0, -0.0, 0.5 * band.f_hi, -band.f_hi):
+        value = evaluate(*args, np.array(f))
+        assert isinstance(value, float)
+        assert value.hex() == evaluate(*args, f).hex()
 
 
 # An array used to end in an untyped TypeError.
