@@ -194,9 +194,10 @@ _POW10 = np.array([float(10**k) for k in range(18)])  # exact doubles
 
 def _digit_words() -> np.ndarray:
     """k < 10_000 in four ASCII digits as one word at k, and at 10_000 + k with trailing 0s NUL."""
-    ascii4 = np.stack(
-        np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1
-    ).reshape(10_000, 4)
+    ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):  # digit j of k runs along axis j
+        ascii4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    ascii4 = ascii4.reshape(10_000, 4)
     keep = ascii4 != 48
     for j in (2, 1, 0):
         keep[:, j] |= keep[:, j + 1]  # a digit stays if a later one is nonzero
