@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from targetzone.cli import _LINE_WORDS, _fmt, _g12_lines, _write_surface, main
+from targetzone.cli import _fmt, _g12_lines, _write_surface, main
 from targetzone.pde import Surface
 
 from reference_values import BM_F_BAR, OU_C2, OU_F_BAR
@@ -173,29 +173,38 @@ def _formatter_design():
     rng = np.random.default_rng(2115)
     mantissas = ("1", "1.5", "3.14159265358979", "9.99999999999949", "9.9999999999995")
     exponents = [float(f"{m}e{k}") for m in mantissas for k in range(-320, 309)]
-    # (k + 0.5)*10^m with 12-digit k, for 12-digit exponents -6 ... 1
+    # (k + 0.5)*10^m with 12-digit k: ties at the 13th digit in every layout
     ties = np.concatenate([
-        (rng.integers(10**11, 10**12, 300) + 0.5) * 10.0 ** (x - 11) for x in range(-6, 2)
+        (rng.integers(10**11, 10**12, 100) + 0.5) * 10.0 ** (x - 11)
+        for x in [-300, -30, *range(-7, 15), 30, 300]
     ])
     near_one = 1.0 - rng.uniform(0, 1e-12, 100)
+    # Short mantissas: the point and trailing zeros at every digit, integers
+    # whose last digits are zeros, and halves, quarters and eighths.
+    short = np.concatenate([
+        rng.integers(1, 10**4, 200) * 10.0 ** rng.integers(-8, 16, 200),
+        rng.integers(1, 10**6, 200) / 8.0,
+        [100.0, 120.0, 1000.0005, 1e11, 123456789012.0, 1e12, 1e15, 2.5e-5],
+    ])
     design = np.concatenate([
-        [0.0, 5e-324, np.inf, np.nan],
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan],
         exponents,
         _ulps_around(np.array([float(f"1e{k}") for k in range(-7, 14)]), 3),
-        _ulps_around(np.array([9.99999999999995e-5, 9.99999999999995e-2]), 3),
+        _ulps_around(np.array([9.99999999999995e-5, 9.99999999999995e-2, 999999999999.5]), 3),
         _ulps_around(ties, 3),
         near_one,
+        short,
         rng.uniform(0, 1, 2000),
         10.0 ** rng.uniform(-6, 1, 2000),
+        10.0 ** rng.uniform(-12, 20, 2000),
+        rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000),
     ])
     return np.concatenate([design, -design])
 
 
 def test_surface_e_formatter_matches_percent_12g_byte_for_byte():
     values = _formatter_design()
-    out = np.empty((len(values), _LINE_WORDS), np.uint32)
-    _g12_lines(values, out)
-    texts = [bytes(row).replace(b"\0", b"") for row in out.view(np.uint8)]
+    texts = [bytes(row).replace(b"\0", b"") for row in _g12_lines(values).view(np.uint8)]
     assert texts == [("%.12g\n" % v).encode() for v in values.tolist()]
 
 
