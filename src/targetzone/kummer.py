@@ -4,7 +4,15 @@
 to machine precision. It takes floats or arrays. Floats are summed term by
 term on Python floats, with the term index kept as a float: the float loop
 is the hot path of Newton's calibration, and int + float would convert the
-index to the same float on every use. Arrays are broadcast to lanes, which
+index to the same float on every use. Each term's denominator
+(b + n) * (n + 1) comes from a table cached per (b, MAX_TERMS), so a term
+costs (a + n) * z / den, in the loop's operation order. The model's
+arguments, a > 0, b > 0 and z >= 0, take a loop for positive terms: there
+every term is >= 0 and the sum >= 1, so abs() is the identity, the largest
+term never exceeds the sum and the cancellation test below cannot fire, and
+b is no pole. That loop drops all three and gives the signed loop's bits,
+stopping term and error texts. Every other input takes the signed loop,
+which keeps them. Arrays are broadcast to lanes, which
 are summed in ordered blocks of 16, 32 and then 64 terms: a block forms its
 term ratios, and `np.multiply.accumulate` and `np.add.accumulate` along the
 terms carry the term and the sum on in term order from where the last block
@@ -24,6 +32,7 @@ ParameterError with key b.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +57,18 @@ def _check_b(b: float) -> None:
         raise ParameterError(
             f"b={b} is a pole of M(a, b, z) (zero, a negative integer or -inf)", "b"
         )
+
+
+def _check_b_lanes(b) -> None:
+    """`_check_b` on every lane of an array b, in C order."""
+    for pole in np.ravel(b).tolist():
+        _check_b(pole)
+
+
+@lru_cache(maxsize=32)
+def _denominators(b: float, max_terms: int) -> tuple[float, ...]:
+    """The float loops' term denominators (b + n) * (n + 1), n = 0 .. max_terms - 1."""
+    return tuple((b + n) * (n + 1.0) for n in map(float, range(max_terms)))
 
 
 def _diverged(a: float, b: float, z: float) -> ConvergenceError:
@@ -83,23 +104,50 @@ def kummer_m(a, b, z):
     the cancellation check cannot fire. An overflowed sum raises too.
     """
     if not (type(a) is type(b) is type(z) is float):  # arrays, numpy scalars or ints
-        for pole in np.ravel(b).tolist():
-            _check_b(pole)
+        _check_b_lanes(b)
         a, b, z = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, z)))
         if z.ndim:
             return _kummer_m_lanes(a.ravel(), b.ravel(), z.ravel()).reshape(z.shape)
-    _check_b(b)
+        # Python floats: numpy scalar arithmetic gives the same bits about twice as slowly.
+        a, b, z = float(a), float(b), float(z)
+    if not (a > 0 and b > 0 and z >= 0):
+        return _kummer_m_signed(a, b, z)
 
-    # Python floats: numpy scalar arithmetic gives the same bits about twice as slowly.
-    a, b, z = float(a), float(b), float(z)
-    rel_stop = _MACHINE_REL  # a local: the loop below is the calibration's hot path
+    # The model's arguments, and the calibration's hot path. Every term is
+    # >= 0 and the sum >= 1, so abs() is the identity, and the largest term is
+    # at most the sum: the signed loop's cancellation test cannot fire, and
+    # its largest term is not tracked. Same terms, sums, stop and errors.
+    rel_stop = _MACHINE_REL  # a local: read once per term
+    term = 1.0
+    total = 1.0
+    small = False
+    n = 0.0  # a float count: see the module docstring
+    for den in _denominators(b, MAX_TERMS):
+        term *= (a + n) * z / den
+        n += 1.0
+        total += term
+        if term <= rel_stop * total:
+            if small:
+                if not math.isfinite(total):
+                    raise _overflows(a, b, z)
+                return total
+            small = True
+        else:
+            small = False
+    raise _diverged(a, b, z)
+
+
+def _kummer_m_signed(a: float, b: float, z: float) -> float:
+    """The float loop of `kummer_m` for any signs, with the cancellation check."""
+    _check_b(b)
+    rel_stop = _MACHINE_REL
     term = 1.0
     total = 1.0
     largest = 1.0
     small_streak = 0
-    n = 0.0  # a float count: see the module docstring
-    for _ in range(MAX_TERMS):
-        term *= (a + n) * z / ((b + n) * (n + 1.0))
+    n = 0.0
+    for den in _denominators(b, MAX_TERMS):
+        term *= (a + n) * z / den
         n += 1.0
         total += term
         size = abs(term)
@@ -172,7 +220,10 @@ def _kummer_m_lanes(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def kummer_m_dz(a: float, b: float, z: float) -> float:
-    """dM/dz via the exact identity dM(a,b,z)/dz = (a/b) * M(a+1, b+1, z)."""
-    _check_b(b)
+def kummer_m_dz(a, b, z):
+    """dM/dz via the exact identity dM(a,b,z)/dz = (a/b) * M(a+1, b+1, z).
+
+    Takes floats or arrays, as `kummer_m` does; a b lane at a pole raises.
+    """
+    _check_b_lanes(b)
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z)

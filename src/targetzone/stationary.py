@@ -25,10 +25,13 @@ it is and gives a float, as at the OU evaluators.
 The OU evaluators take value, slope and curvature from one jet, at a float
 f or over an array of them. `_solution` derives a2 and the powers of rho and
 sigma once, raising ParameterError (key rho or sigma) where one is not a
-usable float; the jet then takes the three Kummer values
-M(a2 + k, 3/2 + k, z), k = 0, 1, 2: three float calls at a float, one call
-on (points, 3) lanes over an array. Each lane repeats the float arithmetic,
-so an array gives the float calls' bits point by point.
+usable float; the jet then takes the Kummer values M(a2 + k, 3/2 + k, z)
+up to the order its caller returns: k = 0 for the value, k <= 1 for the
+slope and k <= 2 for the curvature and the ODE residual. That is one float
+call per k at a float, and one call on (points, order + 1) lanes over an
+array. Each lane repeats the float arithmetic, so an array gives the float
+calls' bits point by point, and each order gives the bits the full jet
+gives.
 
 Newton derives these constants once per calibration and evaluates its trial
 points on floats in stages, through the same formulas: M(a2, 3/2, z) gives
@@ -143,29 +146,39 @@ def _solution(params: ModelParams) -> _Solution:
     return _Solution(a2, rho, sigma, s2, s3, s5, sqrt_rho, r15, r25, 1.0 + alpha_rho)
 
 
-def _jet(solution: _Solution, c2: float, f: Points) -> _Jet:
-    """Evaluate the stationary solution and its first two df-derivatives at f.
+def _jet(solution: _Solution, c2: float, f: Points, order: int = 2) -> _Jet:
+    """Evaluate the stationary solution and its df-derivatives up to `order` at f.
 
-    The Kummer values M(a2, 3/2, z), M(a2+1, 5/2, z) and M(a2+2, 7/2, z) are
-    computed once each, on floats or on (point, k) lanes.
+    The Kummer values M(a2 + k, 3/2 + k, z), k = 0 .. order, are computed
+    once each, on floats or on (point, k) lanes; the derivatives above
+    `order`, and h2' at order 0, are None.
     """
     a2 = solution.a2
     u = 0.0 - f  # not -f: u at f = +0.0 must be +0.0, or the curvature's sign flips
     z = solution.z(u)
     if isinstance(z, np.ndarray):
         # Lanes (point, k): a lane error is the one a loop over f would meet first.
-        m = kummer_m(a2 + _FAMILY, _FAMILY + 1.5, z[..., None])
-        m2, m2p, m2pp = m[..., 0], m[..., 1], m[..., 2]
+        family = _FAMILY[: order + 1]
+        lanes = kummer_m(a2 + family, family + 1.5, z[..., None])
+        m = [lanes[..., k] for k in range(order + 1)]
+    else:
+        m = [kummer_m(a2, 1.5, z)]
+        if order >= 1:
+            m.append(kummer_m(a2 + 1.0, 2.5, z))
+        if order >= 2:
+            m.append(kummer_m(a2 + 2.0, 3.5, z))
+    h2, value = solution.value(c2, f, u, m[0])
+    if order == 0:
+        return _Jet(value, None, None, h2, None)
+    dm2, h2p, slope = solution.slope(c2, u, m[0], m[1])
+    if order == 1:
+        return _Jet(value, slope, None, h2, h2p)
+    if isinstance(u, np.ndarray):
         # Python's pow per point: numpy's u**3 rounds differently in some lanes.
         u3 = np.reshape([x**3 for x in u.ravel().tolist()], u.shape)
     else:
-        m2 = kummer_m(a2, 1.5, z)
-        m2p = kummer_m(a2 + 1.0, 2.5, z)
-        m2pp = kummer_m(a2 + 2.0, 3.5, z)
         u3 = u**3
-    h2, value = solution.value(c2, f, u, m2)
-    dm2, h2p, slope = solution.slope(c2, u, m2, m2p)
-    return _Jet(value, slope, solution.curvature(c2, u, u3, dm2, m2pp), h2, h2p)
+    return _Jet(value, slope, solution.curvature(c2, u, u3, dm2, m[2]), h2, h2p)
 
 
 def _trial(
@@ -198,30 +211,30 @@ def _trial(
     return _Jet(value, slope, curvature, h2, h2p), (r0, slope), norm_new
 
 
-def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> _Jet:
-    """`_jet` at a float or over an array, with numpy's float warnings off.
+def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points, order: int) -> _Jet:
+    """`_jet` up to `order` at a float or over an array, with numpy's float warnings off.
 
     Python floats overflow to inf and nan silently; the lanes must too.
     """
     with np.errstate(all="ignore"):
-        return _jet(_solution(params), coefs.c2, f)
+        return _jet(_solution(params), coefs.c2, f, order)
 
 
 def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
     """Stationary exchange rate e(f) for given integration constants, at a float or an array."""
-    return _jet_at(params, coefs, f).value
+    return _jet_at(params, coefs, f, 0).value
 
 
 def eval_stationary_slope(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
     """Analytic de/df of the stationary solution, at a float or an array."""
-    return _jet_at(params, coefs, f).slope
+    return _jet_at(params, coefs, f, 1).slope
 
 
 def eval_stationary_curvature(
     params: ModelParams, coefs: StationaryCoefficients, f: Points
 ) -> Points:
     """Analytic d2e/df2 of the stationary solution, at a float or an array."""
-    return _jet_at(params, coefs, f).curvature
+    return _jet_at(params, coefs, f, 2).curvature
 
 
 def stationary_ode_residual(
@@ -238,7 +251,7 @@ def stationary_ode_residual(
     """
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     f = np.asarray(f_grid, dtype=float)
-    e, ep, epp, _, _ = _jet_at(params, coefs, f)
+    e, ep, epp, _, _ = _jet_at(params, coefs, f, 2)
     with np.errstate(all="ignore"):  # see _jet_at
         return 0.5 * a * s2 * epp - a * r * f * ep - e + f
 

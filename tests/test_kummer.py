@@ -102,6 +102,21 @@ def test_minus_infinite_b_is_a_keyed_error():
     assert scalar.value.key == lanes.value.key == "b"
 
 
+def test_derivative_takes_array_b_and_checks_every_lane():
+    # An array b once met the pole test as one truth value: numpy's untyped ValueError.
+    b = np.array([0.5, 1.5, -0.5, 7.25])
+    z = np.array([0.0, 0.3, 4.0])
+    got = kummer_m_dz(1.0, b[:, None], z)
+    assert got.shape == (4, 3)
+    assert [x.hex() for x in got.ravel().tolist()] == [
+        kummer_m_dz(1.0, y, w).hex() for y in b.tolist() for w in z.tolist()
+    ]
+    for poles in ([1.5, -2.0], [0.0, 1.5], [1.5, -math.inf]):
+        with pytest.raises(ParameterError, match="pole") as excinfo:
+            kummer_m_dz(1.0, np.array(poles), 0.3)
+        assert excinfo.value.key == "b"
+
+
 def test_negative_noninteger_b_is_fine():
     assert math.isfinite(kummer_m(1.0, -0.5, 0.2))
 
@@ -218,3 +233,37 @@ def test_mixed_sign_lanes_that_converge_equal_the_float_loop():
 def test_lanes_check_the_pole_of_b():
     with pytest.raises(ParameterError, match="pole"):
         kummer_m(np.array([1.0, 1.0]), np.array([1.5, -2.0]), np.array([0.5, 0.5]))
+
+
+def _loop_outcome(loop, a, b, z):
+    """A float loop's value as hex, or its error text."""
+    try:
+        return loop(a, b, z).hex()
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def test_positive_loop_equals_the_signed_loop(monkeypatch):
+    # kummer_m sums a > 0, b > 0, z >= 0 in a loop without abs(), the largest
+    # term or the cancellation test; the signed loop, which keeps them, is the
+    # reference: same bits, same stopping term, same error text.
+    import targetzone.kummer as kummer_mod
+
+    rng = np.random.default_rng(22)
+    special_z = [0.0, -0.0, math.inf, math.nan, 5e-324, 400.0, 800.0]
+    design = [
+        (x, y, w)
+        for x in [*np.geomspace(0.5, 5e3, 9).tolist(), math.inf]
+        for y in (0.5, 1.5, 2.5, 3.5, 7.25)
+        for w in [*np.exp(rng.uniform(math.log(1e-300), math.log(1e3), 60)).tolist(), *special_z]
+    ]
+    capped = {}
+    for cap in (500, 64):
+        monkeypatch.setattr(kummer_mod, "MAX_TERMS", cap)
+        assert kummer_mod._denominators(3.5, cap) == tuple((3.5 + n) * (n + 1.0) for n in range(cap))
+        fast = [_loop_outcome(kummer_m, *args) for args in design]
+        assert fast == [_loop_outcome(kummer_mod._kummer_m_signed, *args) for args in design]
+        assert any(x.startswith("0x") for x in fast) and any(x.endswith("overflows") for x in fast)
+        capped[cap] = sum(x.endswith(f"did not converge in {cap} terms") for x in fast)
+    # The design needs more than 64 terms at some points that 500 terms sum.
+    assert 0 < capped[500] < capped[64]

@@ -144,14 +144,41 @@ def _count_kummer_calls(monkeypatch):
     return calls
 
 
+def _record_kummer_shapes(monkeypatch):
+    """Record the broadcast shape of each kummer_m call the stationary layer makes."""
+    import targetzone.stationary as stationary_mod
+
+    shapes = []
+
+    def recording_kummer_m(*args):
+        shapes.append(np.broadcast_shapes(*(np.shape(x) for x in args)))
+        return kummer_m(*args)
+
+    monkeypatch.setattr(stationary_mod, "kummer_m", recording_kummer_m)
+    return shapes
+
+
 @pytest.mark.parametrize(("c2", "calls"), [(0.0, 3), (-0.0, 3)])
 def test_jet_evaluates_only_the_kummer_family_in_use(monkeypatch, c2, calls):
     # Only the odd family M(a2 + k, 3/2 + k, .) is evaluated, and all of it
-    # even at c2 = 0, where Newton starts and still needs h2 and h2'.
-    seen = _count_kummer_calls(monkeypatch)
-    params = ModelParams(alpha=2.0, rho=0.8, sigma=0.12)
-    eval_stationary_curvature(params, StationaryCoefficients(c2), 0.05)
-    assert seen[0] == calls
+    # even at c2 = 0, where Newton starts and still needs h2 and h2'. Each
+    # evaluator stops at the order it returns: the value takes k = 0, the
+    # slope k <= 1, the curvature (`calls` float calls) and the residual k <= 2.
+    shapes = _record_kummer_shapes(monkeypatch)
+    params, coefs = ModelParams(alpha=2.0, rho=0.8, sigma=0.12), StationaryCoefficients(c2)
+    f = np.linspace(-0.05, 0.05, 7)
+    evaluators = (eval_stationary, eval_stationary_slope, eval_stationary_curvature)
+    for k, ev in enumerate(evaluators, start=1):
+        shapes.clear()
+        ev(params, coefs, 0.05)
+        assert shapes == [()] * k
+        shapes.clear()
+        ev(params, coefs, f)
+        assert shapes == [(7, k)]
+    assert k == calls
+    shapes.clear()
+    stationary_ode_residual(params, coefs, f)
+    assert shapes == [(7, calls)]
 
 
 # ---------------------------------------------------------------------------
