@@ -74,7 +74,10 @@ Points = Union[float, np.ndarray]
 
 
 class _Jet(NamedTuple):
-    """Value, slope and curvature of e at f, plus the c2-columns h2, h2'."""
+    """Value, slope and curvature of e at f, plus the c2-columns h2, h2'.
+
+    `_jet` leaves the derivatives above the order it evaluates None.
+    """
 
     value: Points
     slope: Points
@@ -146,7 +149,7 @@ def _solution(params: ModelParams) -> _Solution:
     return _Solution(a2, rho, sigma, s2, s3, s5, sqrt_rho, r15, r25, 1.0 + alpha_rho)
 
 
-def _jet(solution: _Solution, c2: float, f: Points, order: int = 2) -> _Jet:
+def _jet(solution: _Solution, c2: float, f: Points, order: int) -> _Jet:
     """Evaluate the stationary solution and its df-derivatives up to `order` at f.
 
     The Kummer values M(a2 + k, 3/2 + k, z), k = 0 .. order, are computed

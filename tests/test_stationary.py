@@ -590,7 +590,7 @@ def _full_jet_trial(solution, e_bar, c2, f, norm):
     import targetzone.stationary as stationary_mod
 
     try:
-        jet = stationary_mod._jet(solution, c2, f)
+        jet = stationary_mod._jet(solution, c2, f, 2)
     except (OverflowError, ConvergenceError):
         return None
     res = (jet.value - e_bar, jet.slope)
