@@ -113,10 +113,8 @@ def kummer_m(a, b, z):
     if not (a > 0 and b > 0 and z >= 0):
         return _kummer_m_signed(a, b, z)
 
-    # The model's arguments, and the calibration's hot path. Every term is
-    # >= 0 and the sum >= 1, so abs() is the identity, and the largest term is
-    # at most the sum: the signed loop's cancellation test cannot fire, and
-    # its largest term is not tracked. Same terms, sums, stop and errors.
+    # Positive terms, the calibration's hot path: the module docstring says why
+    # this loop gives the signed loop's results without its sign bookkeeping.
     rel_stop = _MACHINE_REL  # a local: read once per term
     term = 1.0
     total = 1.0
