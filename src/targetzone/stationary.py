@@ -31,7 +31,8 @@ slope and k <= 2 for the curvature and the ODE residual. That is one float
 call per k at a float, and one call on (points, order + 1) lanes over an
 array. Each lane repeats the float arithmetic, so an array gives the float
 calls' bits point by point, and each order gives the bits the full jet
-gives.
+gives. The curvature's u**3 is Python's pow, point by point; where it
+overflows, the curvature and the residual raise ParameterError keyed f.
 
 Newton derives these constants once per calibration and evaluates its trial
 points on floats in stages, through the same formulas: M(a2, 3/2, z) gives
@@ -149,6 +150,14 @@ def _solution(params: ModelParams) -> _Solution:
     return _Solution(a2, rho, sigma, s2, s3, s5, sqrt_rho, r15, r25, 1.0 + alpha_rho)
 
 
+def _cube(u: float) -> float:
+    """u**3 by Python's pow, also for a numpy scalar; its OverflowError names the point f = -u."""
+    try:
+        return float(u) ** 3
+    except OverflowError:
+        raise OverflowError(f"f**3 overflows at f={0.0 - u}") from None
+
+
 def _jet(solution: _Solution, c2: float, f: Points, order: int) -> _Jet:
     """Evaluate the stationary solution and its df-derivatives up to `order` at f.
 
@@ -178,9 +187,9 @@ def _jet(solution: _Solution, c2: float, f: Points, order: int) -> _Jet:
         return _Jet(value, slope, None, h2, h2p)
     if isinstance(u, np.ndarray):
         # Python's pow per point: numpy's u**3 rounds differently in some lanes.
-        u3 = np.reshape([x**3 for x in u.ravel().tolist()], u.shape)
+        u3 = np.reshape([_cube(x) for x in u.ravel().tolist()], u.shape)
     else:
-        u3 = u**3
+        u3 = _cube(u)
     return _Jet(value, slope, solution.curvature(c2, u, u3, dm2, m[2]), h2, h2p)
 
 
@@ -217,10 +226,15 @@ def _trial(
 def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points, order: int) -> _Jet:
     """`_jet` up to `order` at a float or over an array, with numpy's float warnings off.
 
-    Python floats overflow to inf and nan silently; the lanes must too.
+    Python floats overflow to inf and nan silently; the lanes must too. The
+    one Python pow, u**3, raises instead; its first overflowing point in C
+    order is keyed f.
     """
     with np.errstate(all="ignore"):
-        return _jet(_solution(params), coefs.c2, f, order)
+        try:
+            return _jet(_solution(params), coefs.c2, f, order)
+        except OverflowError as exc:
+            raise ParameterError(str(exc), "f") from None
 
 
 def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:

@@ -81,6 +81,15 @@ def test_missing_config_file_fails(capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_fails_with_key(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xff\xferho = 1\n")
+    assert main(["calibrate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     ("argv", "key"),
     [
@@ -392,6 +401,17 @@ def test_figure4_calibration_failure_writes_no_files(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["figure", "--which", "4", "--e-bar", "86.82", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rho_list", ["1,1", "1,1.0000001"])
+def test_figure4_curves_sharing_a_file_write_no_files(tmp_path, capsys, rho_list):
+    # Both rho give the tag "ou_rho=1"; the second curve used to overwrite the first.
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "--which", "4", "--rho-list", rho_list, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rho_list: ")
+    assert "wrote" not in captured.out
     assert list(tmp_path.iterdir()) == []
 
 

@@ -215,6 +215,19 @@ def test_residual_raises_the_error_a_loop_over_the_grid_meets_first(base_params,
     assert str(lanes.value) == str(first.value)
 
 
+def test_cube_overflow_is_keyed_f_at_the_first_point():
+    # z = 100 and every Kummer value converges at f = 1e103, but u**3 = -1e309;
+    # at -1.5e103 too. A 0-d array cubes like a float.
+    params, coefs = ModelParams(1e82, 1e-82, 1e61), StationaryCoefficients(1.0)
+    points = (1e103, np.asarray(1e103), np.array([[0.5, 1e103], [-1.5e103, 0.0]]))
+    for f in points:
+        for evaluate in (eval_stationary_curvature, stationary_ode_residual):
+            with pytest.raises(ParameterError, match=r"^f: f\*\*3 overflows at f=1e\+103$"):
+                evaluate(params, coefs, f)
+    assert eval_stationary(params, coefs, 1e103) == 5e102
+    assert eval_stationary_slope(params, coefs, 1e103) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # symmetric calibration
 # ---------------------------------------------------------------------------
