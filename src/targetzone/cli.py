@@ -190,7 +190,7 @@ def cmd_simulate(config: RunConfig) -> int:
 # peak RSS of `solve --out` by 1.9 MB over a one-step-at-a-time writer, and
 # 64 steps by 6.4 MB.
 _BLOCK_STEPS = 16
-_POW10 = 10.0 ** np.arange(11, 17)  # 10^(11 - X) at -X for X = -5 ... 0, exact doubles
+_POW10 = np.array([float(10**k) for k in range(11, 17)])  # exact 10^(11 - X) at -X, X = -5 ... 0
 
 
 def _digit_words() -> np.ndarray:
