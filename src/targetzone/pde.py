@@ -24,10 +24,20 @@ the Neumann edges use mirror ghost nodes folded into the boundary rows,
 keeping the scheme second order in f. Central advection is monotone while
 the cell Peclet number rho*|f|*df/sigma^2 stays at or below one;
 building the operator warns with a RuntimeWarning when it does not.
+
+By default every step is kept, in one (nt + 1, nf) array that the march
+fills directly; GridSpec's nf*(nt + 1) <= 1e8 rule guards that full surface
+(and holds with `steps` too). A caller that reads only some time rows passes
+`steps`: the march then runs through a (65, nf) buffer, copies each kept row
+out as its block passes and carries the block's last row to row 0, so memory
+no longer grows with nt. The arithmetic is the same, so each kept row has the
+bits of the full surface's row, and errors name the global step.
+convergence_order keeps only its three probe rows of each of its five grids.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +52,9 @@ from .model import Band, ModelParams
 _PROBE_T_FRACTIONS = (0.5, 0.75, 1.0)
 _PROBE_F_FRACTIONS = (0.30, 0.65, 0.85)
 
-_BLOCK = 64  # time steps marched between finiteness checks; does not change any result
+# Time steps marched between finiteness checks, and the rows (plus one) of the
+# buffer a march with `steps` runs through; does not change any result.
+_BLOCK = 64
 # Most nodes nf*(nt + 1) of a surface, 0.8 GB of floats; the march allocates them at once.
 MAX_CELLS = 10**8
 
@@ -91,11 +103,16 @@ def _operator_diagonals(params: ModelParams, band: Band, nf: int):
     # negative and central advection stops being monotone.
     peclet = params.rho * np.max(np.abs(f[1:-1])) * df / params.sigma**2
     if peclet > 1.0:
+        # Name the first caller outside this module, also when convergence_order
+        # is the one that calls solve_nonstationary.
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"cell Peclet number {peclet:.3g} > 1: central advection is not monotone "
             f"on {nf} nodes; refine nf",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
     lower = np.zeros(nf)
@@ -110,8 +127,31 @@ def _operator_diagonals(params: ModelParams, band: Band, nf: int):
     return f, lower, main, upper
 
 
-def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surface:
-    """March the theta scheme from e(0, f) = 0 over nt steps of T/nt years."""
+def _kept_steps(steps, nt: int) -> np.ndarray:
+    """The steps argument as a 1-D integer array of steps in [0, nt]."""
+    kept = np.asarray(steps)
+    if kept.size == 0:
+        kept = kept.astype(int)
+    if kept.ndim != 1 or kept.dtype.kind not in "iu":
+        raise ParameterError(
+            f"must be a 1-D list of integers, got {kept.dtype} of shape {kept.shape}", "steps"
+        )
+    outside = kept[(kept < 0) | (kept > nt)]
+    if outside.size:
+        raise ParameterError(f"step {outside[0]} outside [0, {nt}]", "steps")
+    return kept
+
+
+def solve_nonstationary(
+    params: ModelParams, band: Band, grid: GridSpec, *, steps=None
+) -> Surface:
+    """March the theta scheme from e(0, f) = 0 over nt steps of T/nt years.
+
+    steps lists the time steps to keep, in any order and with repeats, like
+    ``values[steps]`` on the full surface; the default None keeps all nt + 1.
+    The returned Surface holds the kept rows and their t values only.
+    """
+    kept = None if steps is None else _kept_steps(steps, grid.nt)
     f, lower, main, upper = _operator_diagonals(params, band, grid.nf)
     dt = params.horizon / grid.nt
     theta = grid.theta
@@ -127,14 +167,24 @@ def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surf
     w_upper = w * upper[:-1]
     w_lower = w * lower[1:]
     dt_source = dt * (f / params.alpha)
-    values = np.zeros((grid.nt + 1, grid.nf))
+    if kept is None:
+        values = march = np.zeros((grid.nt + 1, grid.nf))
+    else:
+        # Step 0 is the zero initial condition; later kept steps are copied out
+        # of the buffer in step order as their block passes.
+        values = np.zeros((kept.size, grid.nf))
+        order = np.argsort(kept, kind="stable")
+        ordered = kept[order]
+        done = int(np.searchsorted(ordered, 0, side="right"))
+        march = np.zeros((min(_BLOCK, grid.nt) + 1, grid.nf))
     coupling = np.empty(grid.nf - 1)
     bound = max(abs(band.f_lo), abs(band.f_hi))
     first_over = 0  # the first step past the bound; 0 while there is none
     with np.errstate(over="ignore", invalid="ignore"):  # blowup is reported as an error below
         for n0 in range(0, grid.nt, _BLOCK):
             n1 = min(n0 + _BLOCK, grid.nt)
-            old, new = values[n0:n1], values[n0 + 1 : n1 + 1]
+            at = n0 if kept is None else 0  # the march row of step n0
+            old, new = march[at : at + n1 - n0], march[at + 1 : at + n1 - n0 + 1]
             rows = zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:])
             for u, rhs, u_up, u_down, rhs_head, rhs_tail in rows:
                 # The right-hand side (I + (1-theta)*dt*L) u + dt*s is built in
@@ -160,6 +210,10 @@ def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surf
             over = np.flatnonzero(peak > bound)
             if over.size and not first_over:
                 first_over = n0 + 1 + int(over[0])
+            if kept is not None:
+                start, done = done, int(np.searchsorted(ordered, n1, side="right"))
+                values[order[start:done]] = new[ordered[start:done] - (n0 + 1)]
+                march[0] = new[-1]
     if first_over:
         k = first_over
         raise InstabilityError(
@@ -167,7 +221,7 @@ def solve_nonstationary(params: ModelParams, band: Band, grid: GridSpec) -> Surf
         )
 
     t = np.linspace(0.0, params.horizon, grid.nt + 1)
-    return Surface(t, f, values)
+    return Surface(t if kept is None else t[kept], f, values)
 
 
 @dataclass(frozen=True)
@@ -218,10 +272,6 @@ def edge_slopes(surface: Surface) -> tuple[np.ndarray, np.ndarray]:
     return at_lo, at_hi
 
 
-def _probe_values(surface: Surface, t_idx: np.ndarray, f_idx: np.ndarray) -> np.ndarray:
-    return surface.values[np.ix_(t_idx, f_idx)].ravel()
-
-
 def convergence_order(params: ModelParams, band: Band, base: GridSpec) -> tuple[float, float]:
     """Observed self-convergence orders (spatial, temporal) by Richardson ratios.
 
@@ -235,9 +285,14 @@ def convergence_order(params: ModelParams, band: Band, base: GridSpec) -> tuple[
     f_idx = np.array([round(fr * (base.nf - 1)) for fr in _PROBE_F_FRACTIONS], dtype=int)
 
     def probes(nf: int, nt: int, kt: int, kf: int) -> np.ndarray:
-        # Only the probe vector outlives the call, not the refined surface.
-        surface = solve_nonstationary(params, band, GridSpec(nf, nt, base.theta))
-        return _probe_values(surface, t_idx * kt, f_idx * kf)
+        # Only the three probe rows are kept, never the refined surface.
+        try:
+            surface = solve_nonstationary(
+                params, band, GridSpec(nf, nt, base.theta), steps=t_idx * kt
+            )
+        except InstabilityError as exc:
+            raise InstabilityError(f"on {nf} x {nt}: {exc}") from exc
+        return surface.values[:, f_idx * kf].ravel()
 
     def order_from(ladder: list[np.ndarray]) -> float:
         d1 = np.sqrt(np.mean((ladder[0] - ladder[1]) ** 2))

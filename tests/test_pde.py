@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,24 @@ def test_steep_drift_on_coarse_grid_warns_with_peclet_number():
     assert record[0].filename == __file__
 
 
+def test_convergence_order_points_its_peclet_warnings_at_the_caller():
+    from targetzone import Band
+
+    # 5, 9 and 17 nodes all warn; the base grid warns for each of its three solves.
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=1.0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        convergence_order(params, Band(-1.0, 1.0, -1.0, 1.0), GridSpec(5, 10, 0.5))
+    assert [str(w.message).split(" > ")[0] for w in record] == [
+        "cell Peclet number 25",
+        "cell Peclet number 18.7",
+        "cell Peclet number 10.9",
+        "cell Peclet number 25",
+        "cell Peclet number 25",
+    ]
+    assert {w.filename for w in record} == {__file__}
+
+
 def test_reference_grid_is_warning_free(base_params, calibrated):
     _, band = calibrated
     with warnings.catch_warnings():
@@ -300,9 +319,9 @@ def test_convergence_order_solves_the_base_grid_once(base_params, calibrated, mo
 
     grids = []
 
-    def counting_solve(params, band, grid):
+    def counting_solve(params, band, grid, *, steps=None):
         grids.append((grid.nf, grid.nt))
-        return solve_nonstationary(params, band, grid)
+        return solve_nonstationary(params, band, grid, steps=steps)
 
     monkeypatch.setattr(pde, "solve_nonstationary", counting_solve)
     _, band = calibrated
@@ -315,12 +334,12 @@ def test_non_monotone_refinement_lists_the_three_probe_vectors(base_params, cali
 
     levels = iter([0.0, 1.0, 0.0])
 
-    def flat_solve(params, band, grid):
+    def flat_solve(params, band, grid, *, steps):
         # Coarse 0, mid 1, fine 0: the mid-fine gap equals the coarse-mid gap.
         return pde.Surface(
-            np.linspace(0.0, params.horizon, grid.nt + 1),
+            np.linspace(0.0, params.horizon, grid.nt + 1)[steps],
             np.linspace(band.f_lo, band.f_hi, grid.nf),
-            np.full((grid.nt + 1, grid.nf), next(levels)),
+            np.full((len(steps), grid.nf), next(levels)),
         )
 
     monkeypatch.setattr(pde, "solve_nonstationary", flat_solve)
@@ -328,6 +347,132 @@ def test_non_monotone_refinement_lists_the_three_probe_vectors(base_params, cali
     with pytest.raises(InstabilityError, match="not monotone") as excinfo:
         convergence_order(base_params, band, GridSpec(51, 200, 0.5))
     assert str([[0.0] * 9, [1.0] * 9, [0.0] * 9]) in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# kept steps
+# ---------------------------------------------------------------------------
+
+# nt = 10 fits in one block, 128 fills two exactly, 300 ends in a partial block;
+# 64 and 65 sit on either side of the first block boundary.
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize(
+    ("nt", "steps"),
+    [
+        (10, [0, 10, 3]),
+        (10, [10, 10, 0, 5, 5]),
+        (128, [0, 64, 65, 128]),
+        (128, [128, 65, 64, 0, 65]),
+        (300, [0, 64, 65, 300, 257, 256, 299]),
+        (300, [300, 1, 300, 64, 0, 65, 64]),
+    ],
+)
+def test_kept_steps_are_the_full_surface_rows(base_params, calibrated, nt, steps, theta):
+    _, band = calibrated
+    grid = GridSpec(41, nt, theta)
+    full = solve_nonstationary(base_params, band, grid)
+    kept = solve_nonstationary(base_params, band, grid, steps=steps)
+    assert kept.values.tobytes() == full.values[steps].tobytes()
+    assert kept.t_axis.tobytes() == full.t_axis[steps].tobytes()
+    assert kept.f_axis.tobytes() == full.f_axis.tobytes()
+    assert not kept.values.flags.writeable
+
+
+def test_kept_steps_take_arrays_and_may_be_empty(base_params, calibrated):
+    _, band = calibrated
+    grid = GridSpec(21, 70, 0.5)
+    full = solve_nonstationary(base_params, band, grid).values
+    steps = np.array([70, 2, 66], dtype=np.uint8)
+    kept = solve_nonstationary(base_params, band, grid, steps=steps)
+    assert np.array_equal(kept.values, full[steps])
+    assert solve_nonstationary(base_params, band, grid, steps=[]).values.shape == (0, 21)
+
+
+@pytest.mark.parametrize(
+    ("steps", "message"),
+    [
+        ([0, 1.0], "steps: must be a 1-D list of integers, got float64 of shape (2,)"),
+        ([True, False], "steps: must be a 1-D list of integers, got bool of shape (2,)"),
+        (3, "steps: must be a 1-D list of integers, got int64 of shape ()"),
+        ([[0, 1]], "steps: must be a 1-D list of integers, got int64 of shape (1, 2)"),
+        (["0"], "steps: must be a 1-D list of integers, got <U1 of shape (1,)"),
+        ([0, 31], "steps: step 31 outside [0, 30]"),
+        ([5, -1, 40], "steps: step -1 outside [0, 30]"),
+    ],
+)
+def test_bad_steps_raise_keyed_parameter_error(base_params, calibrated, steps, message):
+    _, band = calibrated
+    with pytest.raises(ParameterError) as excinfo:
+        solve_nonstationary(base_params, band, GridSpec(21, 30, 0.5), steps=steps)
+    assert excinfo.value.key == "steps"
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    ("nt", "steps"),
+    [(100, [0, 50]), (100, [100]), (322, [65, 0]), (322, [64, 300, 10])],
+)
+def test_kept_steps_blowup_names_the_same_step(nt, steps):
+    # The 401 x 100 grid overflows at step 92 in the partial tail block, and
+    # 401 x 322 (horizon 300) at step 65, the first step of block 2.
+    horizon = 3.0 if nt == 100 else 300.0
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=horizon)
+    _, band = calibrate_symmetric(params, 0.01)
+    grid = GridSpec(401, nt, 0.0)
+    messages = []
+    for kwargs in ({}, {"steps": steps}):
+        with pytest.raises(InstabilityError) as excinfo:
+            solve_nonstationary(params, band, grid, **kwargs)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("non-finite values at step ")
+
+
+def test_kept_steps_bound_overshoot_names_the_same_step(base_params, calibrated):
+    _, band = calibrated
+    grid = GridSpec(41, 1512, 0.0)
+    with pytest.raises(InstabilityError) as full:
+        solve_nonstationary(base_params, band, grid)
+    with pytest.raises(InstabilityError) as kept:
+        solve_nonstationary(base_params, band, grid, steps=[0, 1512])
+    assert str(kept.value) == str(full.value) == (
+        "|e| exceeds max(|f_lo|, |f_hi|) = 0.0886566 from step 945 (t = 1.875)"
+    )
+
+
+def test_convergence_order_keeps_only_the_probe_rows(base_params, calibrated):
+    _, band = calibrated
+    base = GridSpec(41, 1000, 0.5)
+    # The largest refined surfaces, 161 x 1001 and 41 x 4001 floats, are about 1.3 MB.
+    largest = 8 * max(161 * 1001, 41 * 4001)
+    tracemalloc.start()
+    try:
+        convergence_order(base_params, band, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest / 4
+
+
+# Explicit grids: 201 x 3000 fails at the base grid, 41 x 3000 is stable and
+# its first spatial refinement is not, and 21 x 1000 fails that refinement's
+# bound while still finite.
+@pytest.mark.parametrize(
+    ("base", "message"),
+    [
+        ((201, 3000), "on 201 x 3000: non-finite values at step 228 (t = 0.228)"),
+        ((41, 3000), "on 81 x 3000: non-finite values at step 646 (t = 0.646)"),
+        (
+            (21, 1000),
+            "on 41 x 1000: |e| exceeds max(|f_lo|, |f_hi|) = 0.0886566 from step 20 (t = 0.06)",
+        ),
+    ],
+)
+def test_convergence_order_names_the_grid_that_fails(base_params, calibrated, base, message):
+    _, band = calibrated
+    with pytest.raises(InstabilityError) as excinfo:
+        convergence_order(base_params, band, GridSpec(*base, 0.0))
+    assert str(excinfo.value) == message
 
 
 def test_band_validation():
