@@ -128,13 +128,12 @@ def _operator_diagonals(params: ModelParams, band: Band, nf: int):
 
 
 def _kept_steps(steps, nt: int) -> np.ndarray:
-    """The steps argument as a 1-D integer array of steps in [0, nt]."""
+    """The steps argument as a non-empty 1-D integer array of steps in [0, nt]."""
     kept = np.asarray(steps)
-    if kept.size == 0:
-        kept = kept.astype(int)
-    if kept.ndim != 1 or kept.dtype.kind not in "iu":
+    if kept.ndim != 1 or kept.size == 0 or kept.dtype.kind not in "iu":
         raise ParameterError(
-            f"must be a 1-D list of integers, got {kept.dtype} of shape {kept.shape}", "steps"
+            f"must be a non-empty 1-D list of integers, got {kept.dtype} of shape {kept.shape}",
+            "steps",
         )
     outside = kept[(kept < 0) | (kept > nt)]
     if outside.size:
@@ -235,7 +234,7 @@ class Slice:
 
 def slice_at(surface: Surface, t: float) -> Slice:
     """Nearest-time-node section (no interpolation; the node's t is reported)."""
-    t_max = surface.t_axis[-1]
+    t_max = surface.t_axis.max()  # kept steps may come in any order
     if not 0.0 <= t <= t_max:
         raise ParameterError(f"t={t} outside [0, {t_max}]", "t")
     k = int(np.argmin(np.abs(surface.t_axis - t)))

@@ -378,24 +378,32 @@ def test_kept_steps_are_the_full_surface_rows(base_params, calibrated, nt, steps
     assert not kept.values.flags.writeable
 
 
-def test_kept_steps_take_arrays_and_may_be_empty(base_params, calibrated):
+def test_kept_steps_take_integer_arrays_and_slice_at_any_kept_time(base_params, calibrated):
     _, band = calibrated
     grid = GridSpec(21, 70, 0.5)
-    full = solve_nonstationary(base_params, band, grid).values
+    full = solve_nonstationary(base_params, band, grid)
     steps = np.array([70, 2, 66], dtype=np.uint8)
     kept = solve_nonstationary(base_params, band, grid, steps=steps)
-    assert np.array_equal(kept.values, full[steps])
-    assert solve_nonstationary(base_params, band, grid, steps=[]).values.shape == (0, 21)
+    assert np.array_equal(kept.values, full.values[steps])
+    # The last kept row is not the latest time; the horizon is still in range.
+    section = slice_at(kept, base_params.horizon)
+    assert section.t == full.t_axis[70]
+    assert np.array_equal(section.e, full.values[70])
+
+
+_NOT_STEPS = "steps: must be a non-empty 1-D list of integers, got "
 
 
 @pytest.mark.parametrize(
     ("steps", "message"),
     [
-        ([0, 1.0], "steps: must be a 1-D list of integers, got float64 of shape (2,)"),
-        ([True, False], "steps: must be a 1-D list of integers, got bool of shape (2,)"),
-        (3, "steps: must be a 1-D list of integers, got int64 of shape ()"),
-        ([[0, 1]], "steps: must be a 1-D list of integers, got int64 of shape (1, 2)"),
-        (["0"], "steps: must be a 1-D list of integers, got <U1 of shape (1,)"),
+        ([0, 1.0], _NOT_STEPS + "float64 of shape (2,)"),
+        ([True, False], _NOT_STEPS + "bool of shape (2,)"),
+        (3, _NOT_STEPS + "int64 of shape ()"),
+        ([[0, 1]], _NOT_STEPS + "int64 of shape (1, 2)"),
+        (["0"], _NOT_STEPS + "<U1 of shape (1,)"),
+        ([], _NOT_STEPS + "float64 of shape (0,)"),
+        (np.array([], dtype=int), _NOT_STEPS + "int64 of shape (0,)"),
         ([0, 31], "steps: step 31 outside [0, 30]"),
         ([5, -1, 40], "steps: step -1 outside [0, 30]"),
     ],
@@ -408,36 +416,29 @@ def test_bad_steps_raise_keyed_parameter_error(base_params, calibrated, steps, m
     assert str(excinfo.value) == message
 
 
+# Grids of test_explicit_blowup_names_the_first_bad_step and
+# test_finite_explicit_blowup_names_the_first_step_past_the_bound: the error
+# must name the same global step whichever rows are kept.
 @pytest.mark.parametrize(
-    ("nt", "steps"),
-    [(100, [0, 50]), (100, [100]), (322, [65, 0]), (322, [64, 300, 10])],
+    ("horizon", "nf", "nt", "steps"),
+    [
+        pytest.param(3.0, 401, 100, [0, 50], id="partial-tail"),
+        pytest.param(3.0, 401, 100, [100], id="partial-tail-last-row"),
+        pytest.param(300.0, 401, 322, [65, 0], id="start-of-block-2"),
+        pytest.param(300.0, 401, 322, [64, 300, 10], id="start-of-block-2-unsorted"),
+        pytest.param(3.0, 41, 1512, [0, 1512], id="past-the-bound-late"),
+    ],
 )
-def test_kept_steps_blowup_names_the_same_step(nt, steps):
-    # The 401 x 100 grid overflows at step 92 in the partial tail block, and
-    # 401 x 322 (horizon 300) at step 65, the first step of block 2.
-    horizon = 3.0 if nt == 100 else 300.0
+def test_kept_steps_raise_the_full_surface_error(horizon, nf, nt, steps):
     params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=horizon)
     _, band = calibrate_symmetric(params, 0.01)
-    grid = GridSpec(401, nt, 0.0)
+    grid = GridSpec(nf, nt, 0.0)
     messages = []
     for kwargs in ({}, {"steps": steps}):
         with pytest.raises(InstabilityError) as excinfo:
             solve_nonstationary(params, band, grid, **kwargs)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith("non-finite values at step ")
-
-
-def test_kept_steps_bound_overshoot_names_the_same_step(base_params, calibrated):
-    _, band = calibrated
-    grid = GridSpec(41, 1512, 0.0)
-    with pytest.raises(InstabilityError) as full:
-        solve_nonstationary(base_params, band, grid)
-    with pytest.raises(InstabilityError) as kept:
-        solve_nonstationary(base_params, band, grid, steps=[0, 1512])
-    assert str(kept.value) == str(full.value) == (
-        "|e| exceeds max(|f_lo|, |f_hi|) = 0.0886566 from step 945 (t = 1.875)"
-    )
 
 
 def test_convergence_order_keeps_only_the_probe_rows(base_params, calibrated):
