@@ -4,11 +4,19 @@ Reports echo every resolved setting so a run can be audited and repeated;
 identical configuration and seed reproduce reports and CSV files byte for
 byte. Figure CSVs are long-format so any plotting tool can pivot them.
 Times are reported as time remaining t; calendar time is tau = T - t.
+
+`solve --out` and `figure --which 1/2/3` hold O(nf) rows whatever nt is: the
+surface CSV is written block by block as the PDE march yields them, and the
+other figures keep only the rows or columns they print. Every CSV replaces
+its target atomically, so a run that fails part-way leaves no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import secrets
+import stat
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -18,7 +26,7 @@ import numpy as np
 from .config import SETTINGS, RunConfig, parse_config
 from .errors import ParameterError, TargetZoneError
 from .model import Band, ModelParams
-from .pde import Surface, boundary_paths, slice_at, solve_nonstationary
+from .pde import grid_axes, march_blocks, solve_nonstationary
 from .stationary import (
     calibrate_bm,
     calibrate_symmetric,
@@ -47,13 +55,31 @@ def write_csv(
     chunks: Iterable[bytes],
     comments: Sequence[str] = (),
 ) -> None:
-    """Write comment lines, the header and pre-formatted ASCII chunks."""
-    with open(path, "wb") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n".encode())
-        fh.write((",".join(header) + "\n").encode())
-        for chunk in chunks:
-            fh.write(chunk)
+    """Write comment lines, the header and pre-formatted ASCII chunks.
+
+    The bytes go to a temporary file beside `path`, which replaces `path` only
+    once every chunk is written. On any error the temporary file is deleted
+    and `path` keeps what it held, so a run that fails while `chunks` are made
+    leaves no file behind. The file gets the mode open(path, "wb") would give.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    # 0o666 less the umask, as open() creates; an existing file's mode stays.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            for comment in comments:
+                fh.write(f"# {comment}\n".encode())
+            fh.write((",".join(header) + "\n").encode())
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_lines(rows: Iterable[Sequence]) -> Iterator[bytes]:
@@ -127,15 +153,16 @@ def cmd_calibrate(config: RunConfig) -> int:
     return 0
 
 
-def _solve(config: RunConfig) -> tuple[Surface, _Calibrated]:
-    model = _calibrated_band(config.params, config.e_bar)
-    return solve_nonstationary(config.params, model.band, config.grid), model
-
-
 def cmd_solve(config: RunConfig) -> int:
-    surface, model = _solve(config)
-    final = surface.values[-1]
-    gap = float(np.max(np.abs(final - model.value(surface.f_axis))))
+    """Report the surface at the horizon; with --out, stream the whole surface to CSV first."""
+    model = _calibrated_band(config.params, config.e_bar)
+    grid = config.grid
+    if config.output_path:
+        final = _stream_surface(config.output_path, config, model.band)
+    else:
+        final = solve_nonstationary(config.params, model.band, grid, steps=[grid.nt]).values[0]
+    f_axis = grid_axes(config.params, model.band, grid)[1]
+    gap = float(np.max(np.abs(final - model.value(f_axis))))
     print("targetzone solve")
     _echo(_param_pairs(config))
     _echo(
@@ -149,7 +176,6 @@ def cmd_solve(config: RunConfig) -> int:
         ]
     )
     if config.output_path:
-        _write_surface(config.output_path, surface)
         print(f"  wrote {config.output_path}")
     return 0
 
@@ -274,24 +300,44 @@ def _g12_lines(values: np.ndarray) -> np.ndarray:
     return words
 
 
-def _surface_lines(surface: Surface) -> Iterator[bytes]:
+Blocks = Iterable[tuple[int, np.ndarray]]  # (first step, rows), as march_blocks yields them
+
+
+def _surface_lines(t_axis: np.ndarray, f_axis: np.ndarray, blocks: Blocks) -> Iterator[bytes]:
+    """The CSV lines of each block's rows, read before the next block is asked for."""
     # A line is t and ",<f>," NUL-padded to whole words, then the e words.
-    # The f words are laid out once; each block rewrites the t and e words.
-    t_words = _padded_words([_fmt(t) for t in surface.t_axis.tolist()])
-    f_words = _padded_words([f",{_fmt(f)}," for f in surface.f_axis.tolist()])
+    # The f words are laid out once; each sub-block rewrites the t and e words.
+    t_words = _padded_words([_fmt(t) for t in t_axis.tolist()])
+    f_words = _padded_words([f",{_fmt(f)}," for f in f_axis.tolist()])
     ht, head = t_words.shape[1], t_words.shape[1] + f_words.shape[1]
     words = np.empty((_BLOCK_STEPS, len(f_words), head + _LINE_WORDS), np.uint32)
     words[:, :, ht:head] = f_words
-    for start in range(0, len(t_words), _BLOCK_STEPS):
-        values = surface.values[start : start + _BLOCK_STEPS]
-        block = words[: len(values)]
-        block[:, :, :ht] = t_words[start : start + len(values), None]
-        block[:, :, head:] = _g12_lines(values.ravel()).reshape(len(values), -1, _LINE_WORDS)
-        yield block.tobytes().translate(None, b"\0")
+    for first, rows in blocks:
+        for start in range(0, len(rows), _BLOCK_STEPS):
+            values = rows[start : start + _BLOCK_STEPS]
+            block = words[: len(values)]
+            step = first + start
+            block[:, :, :ht] = t_words[step : step + len(values), None]
+            block[:, :, head:] = _g12_lines(values.ravel()).reshape(len(values), -1, _LINE_WORDS)
+            yield block.tobytes().translate(None, b"\0")
 
 
-def _write_surface(path: str | Path, surface: Surface) -> None:
-    write_csv(path, ["t", "f", "e"], _surface_lines(surface))
+def _stream_surface(path: str | Path, config: RunConfig, band: Band) -> np.ndarray:
+    """Write the surface CSV block by block as the march goes; return the last row.
+
+    Only the march's 65-row buffer and one formatting block are held, however
+    many steps the grid has.
+    """
+    t_axis, f_axis = grid_axes(config.params, band, config.grid)
+    last = np.empty(config.grid.nf)
+
+    def blocks() -> Blocks:
+        for first, rows in march_blocks(config.params, band, config.grid):
+            last[:] = rows[-1]
+            yield first, rows
+
+    write_csv(path, ["t", "f", "e"], _surface_lines(t_axis, f_axis, blocks()))
+    return last
 
 
 def cmd_figure(which: int, config: RunConfig) -> int:
@@ -299,22 +345,8 @@ def cmd_figure(which: int, config: RunConfig) -> int:
     print(f"targetzone figure {which}")
     _echo(_param_pairs(config))
 
-    if which == 1:
-        surface, _ = _solve(config)
-        _write_surface(out, surface)
-        written = [out]
-    elif which == 2:
-        surface, _ = _solve(config)
-        rows = []
-        for fraction in _SECTION_FRACTIONS:
-            section = slice_at(surface, fraction * config.params.horizon)
-            rows.extend((section.t, float(f), float(e)) for f, e in zip(section.f, section.e))
-        write_csv(out, ["t", "f", "e"], _csv_lines(rows))
-        written = [out]
-    elif which == 3:
-        surface, _ = _solve(config)
-        paths = boundary_paths(surface)
-        write_csv(out, ["t", "e_lower", "e_upper"], _csv_lines(paths.rows()))
+    if which in (1, 2, 3):
+        _write_pde_figure(which, out, config)
         written = [out]
     elif which == 4:
         written = _write_fig4(out, config)
@@ -324,6 +356,34 @@ def cmd_figure(which: int, config: RunConfig) -> int:
     for path in written:
         print(f"  wrote {path}")
     return 0
+
+
+def _write_pde_figure(which: int, out: str, config: RunConfig) -> None:
+    """Figure 1 (the surface), 2 (five time sections) or 3 (the band-edge paths)."""
+    params, grid = config.params, config.grid
+    band = _calibrated_band(params, config.e_bar).band
+    if which == 1:
+        _stream_surface(out, config, band)
+        return
+    t_axis = grid_axes(params, band, grid)[0]
+    if which == 2:
+        # The steps nearest each section time, as slice_at picks them on the full surface.
+        steps = [int(np.argmin(np.abs(t_axis - fr * params.horizon))) for fr in _SECTION_FRACTIONS]
+        sections = solve_nonstationary(params, band, grid, steps=steps)
+        f_axis = sections.f_axis.tolist()
+        rows = [
+            (t, f, e)
+            for t, section in zip(sections.t_axis.tolist(), sections.values.tolist())
+            for f, e in zip(f_axis, section)
+        ]
+        write_csv(out, ["t", "f", "e"], _csv_lines(rows))
+    else:
+        # Only the two edge columns are kept as the march goes.
+        lower, upper = [], []
+        for _, rows in march_blocks(params, band, grid):
+            lower += rows[:, 0].tolist()
+            upper += rows[:, -1].tolist()
+        write_csv(out, ["t", "e_lower", "e_upper"], _csv_lines(zip(t_axis.tolist(), lower, upper)))
 
 
 def _write_fig4(out: str, config: RunConfig) -> list[str]:

@@ -12,27 +12,30 @@ source s = f/alpha, each step solves
 
 with one tridiagonal system per step. The matrix does not change with time:
 it is factored once by LAPACK `gttrf`, and each step is one `gttrs` solve of
-a right-hand side built in place in the row of the surface it fills. The
-rows are checked once per block of 64 steps, not once per step: the forward
-and back substitutions keep a non-finite right-hand side non-finite, so the
-InstabilityError names the first step whose values are not finite, with its
-t. A march that ends finite raises it too, naming the first step past the
-exact solution's bound |e| <= max(|f_lo|, |f_hi|): an unstable explicit grid
-that has not overflowed yet, or a Crank-Nicolson step so much longer than
-alpha that it overshoots. The advection term uses central differences and
-the Neumann edges use mirror ghost nodes folded into the boundary rows,
-keeping the scheme second order in f. Central advection is monotone while
-the cell Peclet number rho*|f|*df/sigma^2 stays at or below one;
-building the operator warns with a RuntimeWarning when it does not.
+a right-hand side built in place in the row it fills. march_blocks is the one
+march loop. It solves 64 steps per block and checks each block's row maxima
+and minima: the forward and back substitutions keep a non-finite right-hand
+side non-finite, so the InstabilityError names the first step whose values
+are not finite, with its t. A march that ends finite raises it too, after its
+last block, naming the first step past the exact solution's bound
+|e| <= max(|f_lo|, |f_hi|): an unstable explicit grid that has not
+overflowed yet, or a Crank-Nicolson step so much longer than alpha that it
+overshoots. The advection term uses central differences and the Neumann
+edges use mirror ghost nodes folded into the boundary rows, keeping the
+scheme second order in f. Central advection is monotone while the cell
+Peclet number rho*|f|*df/sigma^2 stays at or below one; building the
+operator warns with a RuntimeWarning when it does not.
 
-By default every step is kept, in one (nt + 1, nf) array that the march
-fills directly; GridSpec's nf*(nt + 1) <= 1e8 rule guards that full surface
-(and holds with `steps` too). A caller that reads only some time rows passes
-`steps`: the march then runs through a (65, nf) buffer, copies each kept row
-out as its block passes and carries the block's last row to row 0, so memory
-no longer grows with nt. The arithmetic is the same, so each kept row has the
-bits of the full surface's row, and errors name the global step.
-convergence_order keeps only its three probe rows of each of its five grids.
+march_blocks yields step 0's zero row and then each solved block as
+(first step, rows). It marches either into a caller's (nt + 1, nf) array, in
+place, or through a (65, nf) buffer whose last row is carried to row 0 for
+the next block, so memory does not grow with nt. The arithmetic is the same
+either way, so a row has the same bits in both. solve_nonstationary fills the
+full surface by default; GridSpec's nf*(nt + 1) <= 1e8 rule guards it (and
+holds with `steps` too). A caller that reads only some time rows passes
+`steps`, and only those rows are copied out of the buffer as their block
+passes. convergence_order keeps only its three probe rows of each of its
+five grids, and the CLI streams the surface CSV from the blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -141,16 +145,25 @@ def _kept_steps(steps, nt: int) -> np.ndarray:
     return kept
 
 
-def solve_nonstationary(
-    params: ModelParams, band: Band, grid: GridSpec, *, steps=None
-) -> Surface:
-    """March the theta scheme from e(0, f) = 0 over nt steps of T/nt years.
+def grid_axes(params: ModelParams, band: Band, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The time-remaining axis (nt + 1 nodes on [0, T]) and the f axis (nf nodes on the band)."""
+    t = np.linspace(0.0, params.horizon, grid.nt + 1)
+    return t, np.linspace(band.f_lo, band.f_hi, grid.nf)
 
-    steps lists the time steps to keep, in any order and with repeats, like
-    ``values[steps]`` on the full surface; the default None keeps all nt + 1.
-    The returned Surface holds the kept rows and their t values only.
+
+def march_blocks(
+    params: ModelParams, band: Band, grid: GridSpec, *, out: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield the theta-scheme march from e(0, f) = 0 as (first step, rows) blocks.
+
+    The first block is step 0's zero row; each later one holds the solved
+    rows of up to 64 steps, so the blocks give every step once, in order.
+    With `out`, an (nt + 1, nf) float64 array, the march fills it in place
+    and each `rows` is a view of it. Without, it runs through a (65, nf)
+    buffer, and `rows` stays valid only until the next block is asked for.
+    A non-finite block raises InstabilityError before it is yielded; a march
+    past the bound raises it once the last block has been yielded.
     """
-    kept = None if steps is None else _kept_steps(steps, grid.nt)
     f, lower, main, upper = _operator_diagonals(params, band, grid.nf)
     dt = params.horizon / grid.nt
     theta = grid.theta
@@ -166,23 +179,17 @@ def solve_nonstationary(
     w_upper = w * upper[:-1]
     w_lower = w * lower[1:]
     dt_source = dt * (f / params.alpha)
-    if kept is None:
-        values = march = np.zeros((grid.nt + 1, grid.nf))
-    else:
-        # Step 0 is the zero initial condition; later kept steps are copied out
-        # of the buffer in step order as their block passes.
-        values = np.zeros((kept.size, grid.nf))
-        order = np.argsort(kept, kind="stable")
-        ordered = kept[order]
-        done = int(np.searchsorted(ordered, 0, side="right"))
-        march = np.zeros((min(_BLOCK, grid.nt) + 1, grid.nf))
+    # The buffer's row 0 holds the last solved step and is carried over.
+    march = np.empty((min(_BLOCK, grid.nt) + 1, grid.nf)) if out is None else out
+    march[0] = 0.0
+    yield 0, march[:1]
     coupling = np.empty(grid.nf - 1)
     bound = max(abs(band.f_lo), abs(band.f_hi))
     first_over = 0  # the first step past the bound; 0 while there is none
     with np.errstate(over="ignore", invalid="ignore"):  # blowup is reported as an error below
         for n0 in range(0, grid.nt, _BLOCK):
             n1 = min(n0 + _BLOCK, grid.nt)
-            at = n0 if kept is None else 0  # the march row of step n0
+            at = 0 if out is None else n0  # the march row of step n0
             old, new = march[at : at + n1 - n0], march[at + 1 : at + n1 - n0 + 1]
             rows = zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:])
             for u, rhs, u_up, u_down, rhs_head, rhs_tail in rows:
@@ -200,18 +207,19 @@ def solve_nonstationary(
                 # hash in the CLI tests would catch a wrapper that copied it.
                 dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
             # The substitutions keep a non-finite right-hand side non-finite,
-            # so the first bad solved row is the first bad step.
-            peak = np.abs(new).max(axis=1)  # non-finite exactly where a row is
-            bad = np.flatnonzero(~np.isfinite(peak))
+            # so the first bad solved row is the first bad step. A row is not
+            # finite exactly where its max or min is not, and past the bound
+            # exactly where max > bound or min < -bound.
+            top, bottom = new.max(axis=1), new.min(axis=1)
+            bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
             if bad.size:
                 k = n0 + 1 + int(bad[0])
                 raise InstabilityError(f"non-finite values at step {k} (t = {k * dt:g})")
-            over = np.flatnonzero(peak > bound)
+            over = np.flatnonzero((top > bound) | (bottom < -bound))
             if over.size and not first_over:
                 first_over = n0 + 1 + int(over[0])
-            if kept is not None:
-                start, done = done, int(np.searchsorted(ordered, n1, side="right"))
-                values[order[start:done]] = new[ordered[start:done] - (n0 + 1)]
+            yield n0 + 1, new
+            if out is None:
                 march[0] = new[-1]
     if first_over:
         k = first_over
@@ -219,8 +227,32 @@ def solve_nonstationary(
             f"|e| exceeds max(|f_lo|, |f_hi|) = {bound:g} from step {k} (t = {k * dt:g})"
         )
 
-    t = np.linspace(0.0, params.horizon, grid.nt + 1)
-    return Surface(t if kept is None else t[kept], f, values)
+
+def solve_nonstationary(
+    params: ModelParams, band: Band, grid: GridSpec, *, steps=None
+) -> Surface:
+    """March the theta scheme from e(0, f) = 0 over nt steps of T/nt years.
+
+    steps lists the time steps to keep, in any order and with repeats, like
+    ``values[steps]`` on the full surface; the default None keeps all nt + 1.
+    The returned Surface holds the kept rows and their t values only.
+    """
+    kept = None if steps is None else _kept_steps(steps, grid.nt)
+    t, f = grid_axes(params, band, grid)
+    if kept is None:
+        values = np.empty((grid.nt + 1, grid.nf))
+        for _ in march_blocks(params, band, grid, out=values):
+            pass
+        return Surface(t, f, values)
+    # Kept rows are copied out in step order as their block passes.
+    values = np.empty((kept.size, grid.nf))
+    order = np.argsort(kept, kind="stable")
+    ordered = kept[order]
+    done = 0
+    for first, rows in march_blocks(params, band, grid):
+        start, done = done, int(np.searchsorted(ordered, first + len(rows)))
+        values[order[start:done]] = rows[ordered[start:done] - first]
+    return Surface(t[kept], f, values)
 
 
 @dataclass(frozen=True)

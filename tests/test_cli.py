@@ -1,10 +1,12 @@
 import hashlib
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from targetzone.cli import _fmt, _g12_lines, _write_surface, main
-from targetzone.pde import Surface
+from targetzone import GridSpec, ModelParams, calibrate_symmetric, solve_nonstationary
+from targetzone.cli import _csv_lines, _fmt, _g12_lines, _surface_lines, main, write_csv
 
 from reference_values import BM_F_BAR, OU_C2, OU_F_BAR
 
@@ -157,10 +159,10 @@ def test_surface_writer_matches_row_formatter_on_awkward_floats(tmp_path):
     f_axis = np.array([-1.5e-7, -0.0, 5e-324, 1 / 3])
     values = np.resize(np.array(awkward), (4, 4))
     values[3, 1:] = (np.inf, -np.inf, np.nan)
-    surface = Surface(t_axis, f_axis, values)
 
     out_path = tmp_path / "surface.csv"
-    _write_surface(out_path, surface)
+    blocks = [(0, values[:1]), (1, values[1:])]
+    write_csv(out_path, ["t", "f", "e"], _surface_lines(t_axis, f_axis, blocks))
     expected = "t,f,e\n" + "".join(
         ",".join(_fmt(x) for x in (t, f, e)) + "\n"
         for t, row in zip(t_axis.tolist(), values.tolist())
@@ -215,6 +217,74 @@ def test_surface_e_formatter_matches_percent_12g_byte_for_byte():
     values = _formatter_design()
     texts = [bytes(row).replace(b"\0", b"") for row in _g12_lines(values).view(np.uint8)]
     assert texts == [("%.12g\n" % v).encode() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("theta", ["0.5", "1"])
+@pytest.mark.parametrize("nt", [1, 15, 16, 17, 63, 64, 65, 300])
+def test_streamed_surface_matches_the_row_formatter_at_block_edges(tmp_path, capsys, nt, theta):
+    # The march yields 64-step blocks and the writer formats 16 steps at a
+    # time; these nt end a block just before, at and after both edges.
+    out_path = tmp_path / "surface.csv"
+    assert main(["solve", "--nf", "7", "--nt", str(nt), "--theta", theta, "--out", str(out_path)]) == 0
+    params = ModelParams(alpha=3.0, rho=1.0, sigma=0.1, horizon=3.0)
+    band = calibrate_symmetric(params, 0.01)[1]
+    surface = solve_nonstationary(params, band, GridSpec(7, nt, float(theta)))
+    rows = (
+        (t, f, e)
+        for t, row in zip(surface.t_axis.tolist(), surface.values.tolist())
+        for f, e in zip(surface.f_axis.tolist(), row)
+    )
+    assert out_path.read_bytes() == b"t,f,e\n" + b"".join(_csv_lines(rows))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--alpha", "1e-4", "--nf", "41", "--nt", "300"], "|e| exceeds max(|f_lo|, |f_hi|) = 0.0107076 from step 1 "),
+        (["--theta", "0", "--nt", "100"], "non-finite values at step 92 "),
+    ],
+    ids=["past-the-bound", "non-finite"],
+)
+@pytest.mark.parametrize("existing", [None, b"t,f,e\nkept\n"], ids=["new", "existing"])
+def test_failed_solve_writes_nothing(tmp_path, capsys, argv, message, existing):
+    # The first march ends finite and fails its end-of-march bound check; the
+    # second fails at block 2. Both have streamed rows by then.
+    out_path = tmp_path / "x.csv"
+    if existing is not None:
+        out_path.write_bytes(existing)
+    assert main(["solve", *argv, "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ([] if existing is None else ["x.csv"])
+    if existing is not None:
+        assert out_path.read_bytes() == existing
+
+
+def test_written_csv_gets_the_mode_open_would_give(tmp_path, capsys):
+    fresh, existing, reference = tmp_path / "fresh.csv", tmp_path / "existing.csv", tmp_path / "ref"
+    reference.open("wb").close()
+    existing.write_bytes(b"old\n")
+    existing.chmod(0o600)
+    for path in (fresh, existing):
+        assert main(["solve", *PINNED_GRID, "--out", str(path)]) == 0
+    assert fresh.stat().st_mode == reference.stat().st_mode
+    assert oct(existing.stat().st_mode & 0o777) == oct(0o600)
+    assert sorted(os.listdir(tmp_path)) == ["existing.csv", "fresh.csv", "ref"]
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "report-only"])
+def test_solve_memory_does_not_grow_with_the_surface(tmp_path, capsys, out):
+    # The 401 x 3001 reference surface is 9.6 MB; solve holds the march's
+    # 65-row buffer and one 16-step formatting block instead.
+    argv = ["solve", "--out", str(tmp_path / "s.csv")] if out else ["solve"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_solve_invalid_grid_fails_with_key(capsys):
@@ -337,6 +407,31 @@ def test_figure2_sections(tmp_path, capsys):
     assert times == [pytest.approx(x, abs=0.01) for x in (0.0, 0.15, 0.6, 1.95, 3.0)]
     zero_slice = rows[rows[:, 0] == 0.0]
     assert np.all(zero_slice[:, 2] == 0.0)
+
+
+# SHA-256 of the figure-2 and figure-3 CSVs at the default parameters and grid.
+PINNED_FIGURE_SHA256 = {
+    2: "b54152dfa508754a3b3f10bf40e8e656e2d5a48a12b77a1f9e128adeb027760e",
+    3: "32e2fb38409cb2850abd118c7e2ec06d7f1073b3684dc6c0cae273681ad716eb",
+}
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_figure_bytes_are_pinned(tmp_path, capsys, which):
+    out = tmp_path / f"fig{which}.csv"
+    assert main(["figure", "--which", str(which), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FIGURE_SHA256[which]
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_figure_memory_does_not_grow_with_the_surface(tmp_path, capsys, which):
+    tracemalloc.start()
+    try:
+        assert main(["figure", "--which", which, "--out", str(tmp_path / "f.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_figure3_boundary_dynamics(tmp_path, capsys):

@@ -20,6 +20,7 @@ from targetzone import (
     slice_at,
     solve_nonstationary,
 )
+from targetzone.pde import march_blocks
 
 
 def _third_derivative_bound(params, coefs, band, n=401):
@@ -439,6 +440,37 @@ def test_kept_steps_raise_the_full_surface_error(horizon, nf, nt, steps):
             solve_nonstationary(params, band, grid, **kwargs)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("nt", [1, 64, 65, 300])
+def test_march_blocks_give_every_step_once_in_order(base_params, calibrated, nt):
+    _, band = calibrated
+    grid = GridSpec(21, nt, 0.5)
+    full = solve_nonstationary(base_params, band, grid)
+    blocks = [(first, rows.copy()) for first, rows in march_blocks(base_params, band, grid)]
+    assert [first for first, _ in blocks] == [0, *range(1, nt + 1, 64)]
+    assert np.concatenate([rows for _, rows in blocks]).tobytes() == full.values.tobytes()
+
+    # Into a caller's array the march writes in place: every block is a view of it.
+    out = np.full((nt + 1, 21), np.nan)
+    for first, rows in march_blocks(base_params, band, grid, out=out):
+        assert np.shares_memory(rows, out[first : first + len(rows)])
+    assert out.tobytes() == full.values.tobytes()
+
+
+def test_march_check_holds_no_block_sized_temporary(base_params, calibrated):
+    # The finiteness and bound checks read each block's row max and min; a
+    # block-sized |e| temporary would add 64 of the buffer's 65 rows.
+    _, band = calibrated
+    nf, nt = 2001, 200
+    buffer = 8 * nf * 65
+    tracemalloc.start()
+    try:
+        solve_nonstationary(base_params, band, GridSpec(nf, nt, 0.5), steps=[nt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * buffer
 
 
 def test_convergence_order_keeps_only_the_probe_rows(base_params, calibrated):
