@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import stat
 import sys
 from pathlib import Path
@@ -62,11 +61,14 @@ def write_csv(
     and `path` keeps what it held, so a run that fails while `chunks` are made
     leaves no file behind. The file gets the mode open(path, "wb") would give.
     """
-    path = os.fspath(path)
+    path = os.path.realpath(path)  # through a symlink, as open() writes
     head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     # 0o666 less the umask, as open() creates; an existing file's mode stays.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "wb") as fh:
             if os.path.exists(path):

@@ -186,12 +186,14 @@ def march_blocks(
     coupling = np.empty(grid.nf - 1)
     bound = max(abs(band.f_lo), abs(band.f_hi))
     first_over = 0  # the first step past the bound; 0 while there is none
-    with np.errstate(over="ignore", invalid="ignore"):  # blowup is reported as an error below
-        for n0 in range(0, grid.nt, _BLOCK):
-            n1 = min(n0 + _BLOCK, grid.nt)
-            at = 0 if out is None else n0  # the march row of step n0
-            old, new = march[at : at + n1 - n0], march[at + 1 : at + n1 - n0 + 1]
-            rows = zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:])
+    for n0 in range(0, grid.nt, _BLOCK):
+        n1 = min(n0 + _BLOCK, grid.nt)
+        at = 0 if out is None else n0  # the march row of step n0
+        old, new = march[at : at + n1 - n0], march[at + 1 : at + n1 - n0 + 1]
+        rows = zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:])
+        # Blowup is reported as an error below. The state is not held across
+        # a yield, so the caller's code between blocks keeps its own.
+        with np.errstate(over="ignore", invalid="ignore"):
             for u, rhs, u_up, u_down, rhs_head, rhs_tail in rows:
                 # The right-hand side (I + (1-theta)*dt*L) u + dt*s is built in
                 # the row the solution goes to, and solved there.
@@ -206,21 +208,21 @@ def march_blocks(
                 # A contiguous float64 row is solved in place; the pinned surface
                 # hash in the CLI tests would catch a wrapper that copied it.
                 dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-            # The substitutions keep a non-finite right-hand side non-finite,
-            # so the first bad solved row is the first bad step. A row is not
-            # finite exactly where its max or min is not, and past the bound
-            # exactly where max > bound or min < -bound.
-            top, bottom = new.max(axis=1), new.min(axis=1)
-            bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
-            if bad.size:
-                k = n0 + 1 + int(bad[0])
-                raise InstabilityError(f"non-finite values at step {k} (t = {k * dt:g})")
-            over = np.flatnonzero((top > bound) | (bottom < -bound))
-            if over.size and not first_over:
-                first_over = n0 + 1 + int(over[0])
-            yield n0 + 1, new
-            if out is None:
-                march[0] = new[-1]
+        # The substitutions keep a non-finite right-hand side non-finite,
+        # so the first bad solved row is the first bad step. A row is not
+        # finite exactly where its max or min is not, and past the bound
+        # exactly where max > bound or min < -bound.
+        top, bottom = new.max(axis=1), new.min(axis=1)
+        bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
+        if bad.size:
+            k = n0 + 1 + int(bad[0])
+            raise InstabilityError(f"non-finite values at step {k} (t = {k * dt:g})")
+        over = np.flatnonzero((top > bound) | (bottom < -bound))
+        if over.size and not first_over:
+            first_over = n0 + 1 + int(over[0])
+        yield n0 + 1, new
+        if out is None:
+            march[0] = new[-1]
     if first_over:
         k = first_over
         raise InstabilityError(

@@ -273,6 +273,16 @@ def test_written_csv_gets_the_mode_open_would_give(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["existing.csv", "fresh.csv", "ref"]
 
 
+def test_written_csv_goes_through_a_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target.name)
+    assert main(["solve", *PINNED_GRID, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_SURFACE_SHA256
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
 @pytest.mark.parametrize("out", [True, False], ids=["out", "report-only"])
 def test_solve_memory_does_not_grow_with_the_surface(tmp_path, capsys, out):
     # The 401 x 3001 reference surface is 9.6 MB; solve holds the march's
@@ -513,4 +523,6 @@ def test_figure4_curves_sharing_a_file_write_no_files(tmp_path, capsys, rho_list
 def test_figure_output_failure_is_reported(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "f.csv"
     assert main(["figure", "--which", "3", *FAST, "--out", str(missing_dir)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.rstrip().endswith(f"{os.path.realpath(missing_dir)}'")  # not the temporary file

@@ -458,6 +458,15 @@ def test_march_blocks_give_every_step_once_in_order(base_params, calibrated, nt)
     assert out.tobytes() == full.values.tobytes()
 
 
+def test_march_blocks_leave_the_callers_error_state_between_blocks(base_params, calibrated):
+    # The march ignores overflow while it solves, but the code that reads a
+    # block runs under the caller's own numpy error state.
+    _, band = calibrated
+    with np.errstate(over="raise", invalid="warn"):
+        for _ in march_blocks(base_params, band, GridSpec(21, 130, 0.5)):
+            assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
+
+
 def test_march_check_holds_no_block_sized_temporary(base_params, calibrated):
     # The finiteness and bound checks read each block's row max and min; a
     # block-sized |e| temporary would add 64 of the buffer's 65 rows.
