@@ -17,15 +17,16 @@ import argparse
 import os
 import stat
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import SETTINGS, RunConfig, parse_config
 from .errors import ParameterError, TargetZoneError
 from .model import Band, ModelParams
-from .pde import grid_axes, march_blocks, solve_nonstationary
+from .pde import _grid_axes, _march_blocks, _nearest_steps, solve_nonstationary
 from .stationary import (
     calibrate_bm,
     calibrate_symmetric,
@@ -48,6 +49,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """Open `path` for writing so that it changes only if the block ends without error.
+
+    The bytes go to a temporary file beside the file `path` names, which
+    replaces it once the block is done; on any error the temporary file is
+    deleted and `path` keeps what it held. It gets the mode open(path, "wb")
+    would give. Where a rename would lose something, `path` is opened with
+    open(path, "wb") and written in place: a target that is not a regular
+    file (a device, a FIFO, /dev/stdout), a file with other hard links or
+    another owner, and a directory in which no new file can be made.
+    """
+    try:
+        st = os.stat(path)  # through symlinks, as open() writes
+        in_place = not (
+            stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+        )
+    except FileNotFoundError:
+        st, in_place = None, False
+    except OSError:  # open() raises it again, naming path
+        st, in_place = None, True
+    if not in_place:
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:  # 0o666 less the umask, as open() creates
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            in_place = True
+    if in_place:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    try:
+        with open(fd, "wb") as fh:
+            if st is not None:  # an existing file's mode stays
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(
     path: str | Path,
     header: Sequence[str],
@@ -56,32 +101,16 @@ def write_csv(
 ) -> None:
     """Write comment lines, the header and pre-formatted ASCII chunks.
 
-    The bytes go to a temporary file beside `path`, which replaces `path` only
-    once every chunk is written. On any error the temporary file is deleted
-    and `path` keeps what it held, so a run that fails while `chunks` are made
-    leaves no file behind. The file gets the mode open(path, "wb") would give.
+    A regular file is replaced only once every chunk is written, so a run
+    that fails while `chunks` are made leaves no file behind and an existing
+    file keeps its bytes (see _replacing for the targets written in place).
     """
-    path = os.path.realpath(path)  # through a symlink, as open() writes
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-    # 0o666 less the umask, as open() creates; an existing file's mode stays.
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the file asked for, not the temporary one
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "wb") as fh:
-            if os.path.exists(path):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            for comment in comments:
-                fh.write(f"# {comment}\n".encode())
-            fh.write((",".join(header) + "\n").encode())
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _replacing(path) as fh:
+        for comment in comments:
+            fh.write(f"# {comment}\n".encode())
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _csv_lines(rows: Iterable[Sequence]) -> Iterator[bytes]:
@@ -163,7 +192,7 @@ def cmd_solve(config: RunConfig) -> int:
         final = _stream_surface(config.output_path, config, model.band)
     else:
         final = solve_nonstationary(config.params, model.band, grid, steps=[grid.nt]).values[0]
-    f_axis = grid_axes(config.params, model.band, grid)[1]
+    f_axis = _grid_axes(config.params, model.band, grid)[1]
     gap = float(np.max(np.abs(final - model.value(f_axis))))
     print("targetzone solve")
     _echo(_param_pairs(config))
@@ -302,7 +331,7 @@ def _g12_lines(values: np.ndarray) -> np.ndarray:
     return words
 
 
-Blocks = Iterable[tuple[int, np.ndarray]]  # (first step, rows), as march_blocks yields them
+Blocks = Iterable[tuple[int, np.ndarray]]  # (first step, rows), as _march_blocks yields them
 
 
 def _surface_lines(t_axis: np.ndarray, f_axis: np.ndarray, blocks: Blocks) -> Iterator[bytes]:
@@ -330,11 +359,11 @@ def _stream_surface(path: str | Path, config: RunConfig, band: Band) -> np.ndarr
     Only the march's 65-row buffer and one formatting block are held, however
     many steps the grid has.
     """
-    t_axis, f_axis = grid_axes(config.params, band, config.grid)
+    t_axis, f_axis = _grid_axes(config.params, band, config.grid)
     last = np.empty(config.grid.nf)
 
     def blocks() -> Blocks:
-        for first, rows in march_blocks(config.params, band, config.grid):
+        for first, rows in _march_blocks(config.params, band, config.grid, f_axis):
             last[:] = rows[-1]
             yield first, rows
 
@@ -367,22 +396,22 @@ def _write_pde_figure(which: int, out: str, config: RunConfig) -> None:
     if which == 1:
         _stream_surface(out, config, band)
         return
-    t_axis = grid_axes(params, band, grid)[0]
+    t_axis, f_axis = _grid_axes(params, band, grid)
     if which == 2:
         # The steps nearest each section time, as slice_at picks them on the full surface.
-        steps = [int(np.argmin(np.abs(t_axis - fr * params.horizon))) for fr in _SECTION_FRACTIONS]
+        steps = _nearest_steps(t_axis, [fr * params.horizon for fr in _SECTION_FRACTIONS])
         sections = solve_nonstationary(params, band, grid, steps=steps)
-        f_axis = sections.f_axis.tolist()
+        f_values = f_axis.tolist()
         rows = [
             (t, f, e)
             for t, section in zip(sections.t_axis.tolist(), sections.values.tolist())
-            for f, e in zip(f_axis, section)
+            for f, e in zip(f_values, section)
         ]
         write_csv(out, ["t", "f", "e"], _csv_lines(rows))
     else:
         # Only the two edge columns are kept as the march goes.
         lower, upper = [], []
-        for _, rows in march_blocks(params, band, grid):
+        for _, rows in _march_blocks(params, band, grid, f_axis):
             lower += rows[:, 0].tolist()
             upper += rows[:, -1].tolist()
         write_csv(out, ["t", "e_lower", "e_upper"], _csv_lines(zip(t_axis.tolist(), lower, upper)))

@@ -12,8 +12,8 @@ source s = f/alpha, each step solves
 
 with one tridiagonal system per step. The matrix does not change with time:
 it is factored once by LAPACK `gttrf`, and each step is one `gttrs` solve of
-a right-hand side built in place in the row it fills. march_blocks is the one
-march loop. It solves 64 steps per block and checks each block's row maxima
+a right-hand side built in place in the row it fills. _march_blocks is the
+one march loop. It solves 64 steps per block and checks each block's row maxima
 and minima: the forward and back substitutions keep a non-finite right-hand
 side non-finite, so the InstabilityError names the first step whose values
 are not finite, with its t. A march that ends finite raises it too, after its
@@ -26,7 +26,7 @@ scheme second order in f. Central advection is monotone while the cell
 Peclet number rho*|f|*df/sigma^2 stays at or below one; building the
 operator warns with a RuntimeWarning when it does not.
 
-march_blocks yields step 0's zero row and then each solved block as
+_march_blocks yields step 0's zero row and then each solved block as
 (first step, rows). It marches either into a caller's (nt + 1, nf) array, in
 place, or through a (65, nf) buffer whose last row is carried to row 0 for
 the next block, so memory does not grow with nt. The arithmetic is the same
@@ -97,9 +97,9 @@ class Surface:
             arr.setflags(write=False)
 
 
-def _operator_diagonals(params: ModelParams, band: Band, nf: int):
-    """Tridiagonal representation of L with mirror-ghost Neumann rows."""
-    f = np.linspace(band.f_lo, band.f_hi, nf)
+def _operator_diagonals(params: ModelParams, band: Band, f: np.ndarray):
+    """Tridiagonal representation of L on the f axis, with mirror-ghost Neumann rows."""
+    nf = len(f)
     df = (band.f_hi - band.f_lo) / (nf - 1)
     diff = 0.5 * params.sigma**2 / df**2
     adv = params.rho * f / (2.0 * df)
@@ -128,7 +128,7 @@ def _operator_diagonals(params: ModelParams, band: Band, nf: int):
     # and doubles the one-sided diffusion neighbour.
     upper[0] = 2.0 * diff
     lower[-1] = 2.0 * diff
-    return f, lower, main, upper
+    return lower, main, upper
 
 
 def _kept_steps(steps, nt: int) -> np.ndarray:
@@ -145,26 +145,38 @@ def _kept_steps(steps, nt: int) -> np.ndarray:
     return kept
 
 
-def grid_axes(params: ModelParams, band: Band, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _grid_axes(params: ModelParams, band: Band, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The time-remaining axis (nt + 1 nodes on [0, T]) and the f axis (nf nodes on the band)."""
     t = np.linspace(0.0, params.horizon, grid.nt + 1)
     return t, np.linspace(band.f_lo, band.f_hi, grid.nf)
 
 
-def march_blocks(
-    params: ModelParams, band: Band, grid: GridSpec, *, out: np.ndarray | None = None
+def _nearest_steps(t_axis: np.ndarray, times) -> list[int]:
+    """The index of the t_axis node nearest each time, the first one on a tie."""
+    return [int(np.argmin(np.abs(t_axis - t))) for t in times]
+
+
+def _march_blocks(
+    params: ModelParams,
+    band: Band,
+    grid: GridSpec,
+    f: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield the theta-scheme march from e(0, f) = 0 as (first step, rows) blocks.
 
-    The first block is step 0's zero row; each later one holds the solved
-    rows of up to 64 steps, so the blocks give every step once, in order.
-    With `out`, an (nt + 1, nf) float64 array, the march fills it in place
-    and each `rows` is a view of it. Without, it runs through a (65, nf)
-    buffer, and `rows` stays valid only until the next block is asked for.
-    A non-finite block raises InstabilityError before it is yielded; a march
-    past the bound raises it once the last block has been yielded.
+    `f` is the f axis from _grid_axes. The first block is step 0's zero row;
+    each later one holds the solved rows of up to 64 steps, so the blocks
+    give every step once, in order. With `out`, a fresh C-contiguous
+    (nt + 1, nf) float64 array (dgttrs solves a copy of any other row and
+    the solution would be lost), the march fills it in place and each
+    `rows` is a view of it. Without, it runs through a (65, nf) buffer, and
+    `rows` stays valid only until the next block is asked for. A non-finite
+    block raises InstabilityError before it is yielded; a march past the
+    bound raises it once the last block has been yielded.
     """
-    f, lower, main, upper = _operator_diagonals(params, band, grid.nf)
+    lower, main, upper = _operator_diagonals(params, band, f)
     dt = params.horizon / grid.nt
     theta = grid.theta
 
@@ -240,10 +252,10 @@ def solve_nonstationary(
     The returned Surface holds the kept rows and their t values only.
     """
     kept = None if steps is None else _kept_steps(steps, grid.nt)
-    t, f = grid_axes(params, band, grid)
+    t, f = _grid_axes(params, band, grid)
     if kept is None:
         values = np.empty((grid.nt + 1, grid.nf))
-        for _ in march_blocks(params, band, grid, out=values):
+        for _ in _march_blocks(params, band, grid, f, out=values):
             pass
         return Surface(t, f, values)
     # Kept rows are copied out in step order as their block passes.
@@ -251,7 +263,7 @@ def solve_nonstationary(
     order = np.argsort(kept, kind="stable")
     ordered = kept[order]
     done = 0
-    for first, rows in march_blocks(params, band, grid):
+    for first, rows in _march_blocks(params, band, grid, f):
         start, done = done, int(np.searchsorted(ordered, first + len(rows)))
         values[order[start:done]] = rows[ordered[start:done] - first]
     return Surface(t[kept], f, values)
@@ -271,7 +283,7 @@ def slice_at(surface: Surface, t: float) -> Slice:
     t_max = surface.t_axis.max()  # kept steps may come in any order
     if not 0.0 <= t <= t_max:
         raise ParameterError(f"t={t} outside [0, {t_max}]", "t")
-    k = int(np.argmin(np.abs(surface.t_axis - t)))
+    k = _nearest_steps(surface.t_axis, [t])[0]
     return Slice(float(surface.t_axis[k]), surface.f_axis, surface.values[k])
 
 

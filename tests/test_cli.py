@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -283,6 +286,62 @@ def test_written_csv_goes_through_a_symlink(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
 
 
+@pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link-to-fifo"])
+def test_csv_to_a_fifo_is_written_into_it(tmp_path, capsys, via_link):
+    # Like /dev/stdout, a symlink to a pipe: a rename would put a regular
+    # file where the pipe was, and the reader would get nothing.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    out = fifo
+    if via_link:
+        out = tmp_path / "link"
+        out.symlink_to(fifo.name)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["solve", *PINNED_GRID, "--out", str(out)]) == 0
+    reader.join(timeout=60)
+    assert hashlib.sha256(received[0]).hexdigest() == PINNED_SURFACE_SHA256
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == sorted(["pipe", *(["link"] if via_link else [])])
+
+
+def test_csv_over_a_hard_linked_file_is_written_in_place(tmp_path, capsys):
+    # A rename would leave the other name holding the old bytes.
+    target, other = tmp_path / "x.csv", tmp_path / "other.csv"
+    target.write_bytes(b"old\n")
+    os.link(target, other)
+    assert main(["solve", *PINNED_GRID, "--out", str(target)]) == 0
+    assert hashlib.sha256(other.read_bytes()).hexdigest() == PINNED_SURFACE_SHA256
+    assert target.stat().st_ino == other.stat().st_ino
+    assert sorted(os.listdir(tmp_path)) == ["other.csv", "x.csv"]
+
+
+def test_csv_in_a_read_only_directory_is_written_in_place(tmp_path, monkeypatch, capsys):
+    # A writable file in a directory that takes no new file is written as
+    # open(path, "wb") writes it. Root may create files in any directory, so
+    # there os.open refuses new files in it as the kernel would for others.
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    target = locked / "x.csv"
+    target.write_bytes(b"old\n")
+    real_open = os.open
+
+    def refusing_open(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT and os.path.dirname(os.fspath(path)) == str(locked):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing_open)
+    locked.chmod(0o555)
+    try:
+        assert main(["solve", *PINNED_GRID, "--out", str(target)]) == 0
+    finally:
+        locked.chmod(0o755)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_SURFACE_SHA256
+    assert os.listdir(locked) == ["x.csv"]
+
+
 @pytest.mark.parametrize("out", [True, False], ids=["out", "report-only"])
 def test_solve_memory_does_not_grow_with_the_surface(tmp_path, capsys, out):
     # The 401 x 3001 reference surface is 9.6 MB; solve holds the march's
@@ -525,4 +584,4 @@ def test_figure_output_failure_is_reported(tmp_path, capsys):
     assert main(["figure", "--which", "3", *FAST, "--out", str(missing_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert err.rstrip().endswith(f"{os.path.realpath(missing_dir)}'")  # not the temporary file
+    assert err.rstrip().endswith(f"{missing_dir}'")  # not the temporary file

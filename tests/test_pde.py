@@ -20,7 +20,7 @@ from targetzone import (
     slice_at,
     solve_nonstationary,
 )
-from targetzone.pde import march_blocks
+from targetzone.pde import _grid_axes, _march_blocks
 
 
 def _third_derivative_bound(params, coefs, band, n=401):
@@ -447,13 +447,14 @@ def test_march_blocks_give_every_step_once_in_order(base_params, calibrated, nt)
     _, band = calibrated
     grid = GridSpec(21, nt, 0.5)
     full = solve_nonstationary(base_params, band, grid)
-    blocks = [(first, rows.copy()) for first, rows in march_blocks(base_params, band, grid)]
+    f = _grid_axes(base_params, band, grid)[1]
+    blocks = [(first, rows.copy()) for first, rows in _march_blocks(base_params, band, grid, f)]
     assert [first for first, _ in blocks] == [0, *range(1, nt + 1, 64)]
     assert np.concatenate([rows for _, rows in blocks]).tobytes() == full.values.tobytes()
 
     # Into a caller's array the march writes in place: every block is a view of it.
     out = np.full((nt + 1, 21), np.nan)
-    for first, rows in march_blocks(base_params, band, grid, out=out):
+    for first, rows in _march_blocks(base_params, band, grid, f, out=out):
         assert np.shares_memory(rows, out[first : first + len(rows)])
     assert out.tobytes() == full.values.tobytes()
 
@@ -463,7 +464,8 @@ def test_march_blocks_leave_the_callers_error_state_between_blocks(base_params, 
     # block runs under the caller's own numpy error state.
     _, band = calibrated
     with np.errstate(over="raise", invalid="warn"):
-        for _ in march_blocks(base_params, band, GridSpec(21, 130, 0.5)):
+        grid = GridSpec(21, 130, 0.5)
+        for _ in _march_blocks(base_params, band, grid, _grid_axes(base_params, band, grid)[1]):
             assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
 
 
