@@ -7,8 +7,9 @@ Times are reported as time remaining t; calendar time is tau = T - t.
 
 `solve --out` and `figure --which 1/2/3` hold O(nf) rows whatever nt is: the
 surface CSV is written block by block as the PDE march yields them, and the
-other figures keep only the rows or columns they print. Every CSV replaces
-its target atomically, so a run that fails part-way leaves no file.
+other figures keep only the rows or columns they print. A CSV replaces a
+missing or regular-file target atomically, so a run that fails part-way
+leaves no file; other targets, such as a pipe, are written in place.
 """
 
 from __future__ import annotations
