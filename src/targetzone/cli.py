@@ -5,9 +5,11 @@ identical configuration and seed reproduce reports and CSV files byte for
 byte. Figure CSVs are long-format so any plotting tool can pivot them.
 Times are reported as time remaining t; calendar time is tau = T - t.
 
-`solve --out` and `figure --which 1/2/3` hold O(nf) rows whatever nt is: the
-surface CSV is written block by block as the PDE march yields them, and the
-other figures keep only the rows or columns they print. A CSV replaces a
+`solve --out` and `figure --which 1/2/3` hold O(nf) rows of the surface
+whatever nt is: the surface CSV is written block by block as the PDE march
+yields them, and the other figures keep only the rows or columns they print.
+Per time step they still hold about 100 B: the surface CSV's t texts, and
+figure 3's edge columns as Python lists. A CSV replaces a
 missing or regular-file target atomically, so a run that fails part-way
 leaves no file; other targets, such as a pipe, are written in place.
 """
@@ -190,10 +192,10 @@ def cmd_solve(config: RunConfig) -> int:
     model = _calibrated_band(config.params, config.e_bar)
     grid = config.grid
     if config.output_path:
-        final = _stream_surface(config.output_path, config, model.band)
+        f_axis, final = _stream_surface(config.output_path, config, model.band)
     else:
-        final = solve_nonstationary(config.params, model.band, grid, steps=[grid.nt]).values[0]
-    f_axis = _grid_axes(config.params, model.band, grid)[1]
+        horizon = solve_nonstationary(config.params, model.band, grid, steps=[grid.nt])
+        f_axis, final = horizon.f_axis, horizon.values[0]
     gap = float(np.max(np.abs(final - model.value(f_axis))))
     print("targetzone solve")
     _echo(_param_pairs(config))
@@ -354,8 +356,10 @@ def _surface_lines(t_axis: np.ndarray, f_axis: np.ndarray, blocks: Blocks) -> It
             yield block.tobytes().translate(None, b"\0")
 
 
-def _stream_surface(path: str | Path, config: RunConfig, band: Band) -> np.ndarray:
-    """Write the surface CSV block by block as the march goes; return the last row.
+def _stream_surface(
+    path: str | Path, config: RunConfig, band: Band
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write the surface CSV block by block as the march goes; return the f axis and last row.
 
     Only the march's 65-row buffer and one formatting block are held, however
     many steps the grid has.
@@ -369,7 +373,7 @@ def _stream_surface(path: str | Path, config: RunConfig, band: Band) -> np.ndarr
             yield first, rows
 
     write_csv(path, ["t", "f", "e"], _surface_lines(t_axis, f_axis, blocks()))
-    return last
+    return f_axis, last
 
 
 def cmd_figure(which: int, config: RunConfig) -> int:

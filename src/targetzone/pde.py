@@ -27,15 +27,13 @@ Peclet number rho*|f|*df/sigma^2 stays at or below one; building the
 operator warns with a RuntimeWarning when it does not.
 
 _march_blocks yields step 0's zero row and then each solved block as
-(first step, rows). It marches either into a caller's (nt + 1, nf) array, in
-place, or through a (65, nf) buffer whose last row is carried to row 0 for
-the next block, so memory does not grow with nt. The arithmetic is the same
-either way, so a row has the same bits in both. solve_nonstationary fills the
-full surface by default; GridSpec's nf*(nt + 1) <= 1e8 rule guards it (and
-holds with `steps` too). A caller that reads only some time rows passes
-`steps`, and only those rows are copied out of the buffer as their block
-passes. convergence_order keeps only its three probe rows of each of its
-five grids, and the CLI streams the surface CSV from the blocks.
+(first step, rows). It marches through a (65, nf) buffer whose last row is
+carried to row 0 for the next block, so its memory does not grow with nt.
+solve_nonstationary copies the rows it keeps out of the buffer as their
+block passes: every row by default, only the listed ones with `steps`.
+GridSpec's nf*(nt + 1) <= 1e8 rule bounds the full surface (and holds with
+`steps` too). convergence_order keeps only its three probe rows of each of
+its five grids, and the CLI streams the surface CSV from the blocks.
 """
 
 from __future__ import annotations
@@ -57,9 +55,10 @@ _PROBE_T_FRACTIONS = (0.5, 0.75, 1.0)
 _PROBE_F_FRACTIONS = (0.30, 0.65, 0.85)
 
 # Time steps marched between finiteness checks, and the rows (plus one) of the
-# buffer a march with `steps` runs through; does not change any result.
+# buffer the march runs through; does not change any result.
 _BLOCK = 64
-# Most nodes nf*(nt + 1) of a surface, 0.8 GB of floats; the march allocates them at once.
+# Most nodes nf*(nt + 1) of a surface, 0.8 GB of floats; solve_nonstationary
+# allocates the rows it keeps at once, all of them by default.
 MAX_CELLS = 10**8
 
 
@@ -157,24 +156,16 @@ def _nearest_steps(t_axis: np.ndarray, times) -> list[int]:
 
 
 def _march_blocks(
-    params: ModelParams,
-    band: Band,
-    grid: GridSpec,
-    f: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
+    params: ModelParams, band: Band, grid: GridSpec, f: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield the theta-scheme march from e(0, f) = 0 as (first step, rows) blocks.
 
     `f` is the f axis from _grid_axes. The first block is step 0's zero row;
     each later one holds the solved rows of up to 64 steps, so the blocks
-    give every step once, in order. With `out`, a fresh C-contiguous
-    (nt + 1, nf) float64 array (dgttrs solves a copy of any other row and
-    the solution would be lost), the march fills it in place and each
-    `rows` is a view of it. Without, it runs through a (65, nf) buffer, and
-    `rows` stays valid only until the next block is asked for. A non-finite
-    block raises InstabilityError before it is yielded; a march past the
-    bound raises it once the last block has been yielded.
+    give every step once, in order. The march runs through a (65, nf)
+    buffer, and `rows` stays valid only until the next block is asked for.
+    A non-finite block raises InstabilityError before it is yielded; a march
+    past the bound raises it once the last block has been yielded.
     """
     lower, main, upper = _operator_diagonals(params, band, f)
     dt = params.horizon / grid.nt
@@ -192,7 +183,7 @@ def _march_blocks(
     w_lower = w * lower[1:]
     dt_source = dt * (f / params.alpha)
     # The buffer's row 0 holds the last solved step and is carried over.
-    march = np.empty((min(_BLOCK, grid.nt) + 1, grid.nf)) if out is None else out
+    march = np.empty((min(_BLOCK, grid.nt) + 1, grid.nf))
     march[0] = 0.0
     yield 0, march[:1]
     coupling = np.empty(grid.nf - 1)
@@ -200,8 +191,7 @@ def _march_blocks(
     first_over = 0  # the first step past the bound; 0 while there is none
     for n0 in range(0, grid.nt, _BLOCK):
         n1 = min(n0 + _BLOCK, grid.nt)
-        at = 0 if out is None else n0  # the march row of step n0
-        old, new = march[at : at + n1 - n0], march[at + 1 : at + n1 - n0 + 1]
+        old, new = march[: n1 - n0], march[1 : n1 - n0 + 1]
         rows = zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:])
         # Blowup is reported as an error below. The state is not held across
         # a yield, so the caller's code between blocks keeps its own.
@@ -233,8 +223,7 @@ def _march_blocks(
         if over.size and not first_over:
             first_over = n0 + 1 + int(over[0])
         yield n0 + 1, new
-        if out is None:
-            march[0] = new[-1]
+        march[0] = new[-1]
     if first_over:
         k = first_over
         raise InstabilityError(
@@ -251,13 +240,8 @@ def solve_nonstationary(
     ``values[steps]`` on the full surface; the default None keeps all nt + 1.
     The returned Surface holds the kept rows and their t values only.
     """
-    kept = None if steps is None else _kept_steps(steps, grid.nt)
+    kept = np.arange(grid.nt + 1) if steps is None else _kept_steps(steps, grid.nt)
     t, f = _grid_axes(params, band, grid)
-    if kept is None:
-        values = np.empty((grid.nt + 1, grid.nf))
-        for _ in _march_blocks(params, band, grid, f, out=values):
-            pass
-        return Surface(t, f, values)
     # Kept rows are copied out in step order as their block passes.
     values = np.empty((kept.size, grid.nf))
     order = np.argsort(kept, kind="stable")
@@ -294,9 +278,6 @@ class BoundaryPaths:
     t: np.ndarray
     e_lower: np.ndarray
     e_upper: np.ndarray
-
-    def rows(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.t.tolist(), self.e_lower.tolist(), self.e_upper.tolist()))
 
 
 def boundary_paths(surface: Surface) -> BoundaryPaths:

@@ -146,6 +146,22 @@ def test_solve_surface_bytes_are_pinned(tmp_path):
     assert digest == PINNED_SURFACE_SHA256
 
 
+# SHA-256 of the whole `solve` report on PINNED_GRID, without and with
+# `--out s.csv`; the report alone takes a different path through the march.
+@pytest.mark.parametrize(
+    ("out", "digest"),
+    [
+        ([], "6723b4a8a995d70f02f29aada05341c5cbc35f4842cdf0adfaad2c4785e77e97"),
+        (["--out", "s.csv"], "fdab5a19b553b1e138894f0bc3eab2291015e96ca22c2f0be7a6169093ce10e9"),
+    ],
+    ids=["report-only", "out"],
+)
+def test_solve_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, out, digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", *PINNED_GRID, *out]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_reference_surface_bytes_are_pinned(tmp_path):
     # 1.2M e values at the default grid: every exponent class and near-tie
     # the surface holds goes through the CSV writer.

@@ -452,12 +452,6 @@ def test_march_blocks_give_every_step_once_in_order(base_params, calibrated, nt)
     assert [first for first, _ in blocks] == [0, *range(1, nt + 1, 64)]
     assert np.concatenate([rows for _, rows in blocks]).tobytes() == full.values.tobytes()
 
-    # Into a caller's array the march writes in place: every block is a view of it.
-    out = np.full((nt + 1, 21), np.nan)
-    for first, rows in _march_blocks(base_params, band, grid, f, out=out):
-        assert np.shares_memory(rows, out[first : first + len(rows)])
-    assert out.tobytes() == full.values.tobytes()
-
 
 def test_march_blocks_leave_the_callers_error_state_between_blocks(base_params, calibrated):
     # The march ignores overflow while it solves, but the code that reads a
@@ -482,6 +476,21 @@ def test_march_check_holds_no_block_sized_temporary(base_params, calibrated):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * buffer
+
+
+def test_full_surface_holds_no_second_surface(base_params, calibrated):
+    # The full surface is gathered from the march's buffer like any kept
+    # rows; a second surface-sized temporary would double the peak.
+    _, band = calibrated
+    nf, nt = 401, 3000
+    surface = 8 * nf * (nt + 1)
+    tracemalloc.start()
+    try:
+        solve_nonstationary(base_params, band, GridSpec(nf, nt, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * surface
 
 
 def test_convergence_order_keeps_only_the_probe_rows(base_params, calibrated):
