@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -273,6 +274,12 @@ def feynman_kac_estimate(
     _, scale = _ou_step(params, step)
     n_blocks = -(-n_paths // _BLOCK)
     samples = np.empty(n_paths)
+    n_workers = min(_cpu_count(), _MAX_GROUP, n_blocks)
+    # One scratch per worker, allocated by this thread: allocated in a worker,
+    # it stayed resident in that thread's malloc arena after the estimate.
+    scratches = queue.SimpleQueue()
+    for _ in range(n_workers):
+        scratches.put(np.empty((_CHUNK, _BLOCK)))
 
     def run_block(b: int) -> None:
         """Integrate block b's paths over all steps, one noise chunk at a time.
@@ -284,19 +291,22 @@ def feynman_kac_estimate(
         rng = _block_rng(seed, b)
         lo = b * _BLOCK
         rows = min(_BLOCK, n_paths - lo)
-        scratch = np.empty((_CHUNK, _BLOCK))
-        f = np.full(rows, f0)
-        acc = weights[0] * f
-        for k0 in range(0, n_steps, _CHUNK):
-            k1 = min(k0 + _CHUNK, n_steps)
-            draw = scratch[: k1 - k0]
-            rng.standard_normal(out=draw)
-            shocks = draw[:, :rows]
-            shocks *= scale
-            _integrate_block(params, band, f, acc, shocks, step, weights[k0 + 1 : k1 + 1])
+        scratch = scratches.get()
+        try:
+            f = np.full(rows, f0)
+            acc = weights[0] * f
+            for k0 in range(0, n_steps, _CHUNK):
+                k1 = min(k0 + _CHUNK, n_steps)
+                draw = scratch[: k1 - k0]
+                rng.standard_normal(out=draw)
+                shocks = draw[:, :rows]
+                shocks *= scale
+                _integrate_block(params, band, f, acc, shocks, step, weights[k0 + 1 : k1 + 1])
+        finally:
+            scratches.put(scratch)
         samples[lo : lo + rows] = acc
 
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), _MAX_GROUP, n_blocks)) as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(run_block, range(n_blocks)))
 
     mean = float(np.mean(samples))
