@@ -34,11 +34,11 @@ being 8192 paths. Block b of a seed draws from the b-th child of
 SeedSequence(seed), that is SeedSequence(seed, spawn_key=(b,)), so every
 path's randomness is a pure function of (seed, path index): estimates do not
 depend on execution order and are prefix-stable in n_paths. SFC64 draws
-normals about a third faster than the counter-based Philox streams used
-before. The trade-off: Philox streams under distinct keys are distinct by
-construction, while spawned SeedSequence streams are distinct with
-overwhelming probability, which is numpy's documented way to make parallel
-streams. A regulated path draws from SFC64(SeedSequence(seed)).
+normals about a third faster than counter-based Philox. The trade-off:
+Philox streams under distinct keys are distinct by construction, while
+spawned SeedSequence streams are distinct with overwhelming probability,
+which is numpy's documented way to make parallel streams. A regulated path
+draws from SFC64(SeedSequence(seed)).
 
 The estimator runs each block as one task on a thread pool of at most four
 workers. A task streams its block's noise in chunks of 64 steps into one
@@ -275,8 +275,8 @@ def feynman_kac_estimate(
     n_blocks = -(-n_paths // _BLOCK)
     samples = np.empty(n_paths)
     n_workers = min(_cpu_count(), _MAX_GROUP, n_blocks)
-    # One scratch per worker, allocated by this thread: allocated in a worker,
-    # it stayed resident in that thread's malloc arena after the estimate.
+    # One scratch per worker, allocated here rather than in the workers: what a
+    # worker allocates stays resident in its thread's malloc arena afterwards.
     scratches = queue.SimpleQueue()
     for _ in range(n_workers):
         scratches.put(np.empty((_CHUNK, _BLOCK)))
