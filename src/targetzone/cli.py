@@ -6,10 +6,9 @@ byte. Figure CSVs are long-format so any plotting tool can pivot them.
 Times are reported as time remaining t; calendar time is tau = T - t.
 
 `solve --out` and `figure --which 1/2/3` hold O(nf) rows of the surface
-whatever nt is: the surface CSV is written block by block as the PDE march
-yields them, and the other figures keep only the rows or columns they print.
-Per time step they still hold about 100 B: the surface CSV's t texts, and
-figure 3's edge columns as Python lists. A CSV replaces a
+whatever nt is: the surface and edge-path CSVs are written block by block as
+the PDE march yields them, and figure 2 keeps only its five sections. Only
+the t axis, one float per time node, grows with nt. A CSV replaces a
 missing or regular-file target atomically, so a run that fails part-way
 leaves no file; other targets, such as a pipe, are written in place.
 """
@@ -339,19 +338,22 @@ Blocks = Iterable[tuple[int, np.ndarray]]  # (first step, rows), as _march_block
 
 def _surface_lines(t_axis: np.ndarray, f_axis: np.ndarray, blocks: Blocks) -> Iterator[bytes]:
     """The CSV lines of each block's rows, read before the next block is asked for."""
-    # A line is t and ",<f>," NUL-padded to whole words, then the e words.
-    # The f words are laid out once; each sub-block rewrites the t and e words.
-    t_words = _padded_words([_fmt(t) for t in t_axis.tolist()])
+    # A line is t and ",<f>," NUL-padded to whole words, then the e words. Each
+    # sub-block lays out its own t words, padded to its widest t; the buffer and
+    # its f words are laid out again only when that width changes.
     f_words = _padded_words([f",{_fmt(f)}," for f in f_axis.tolist()])
-    ht, head = t_words.shape[1], t_words.shape[1] + f_words.shape[1]
-    words = np.empty((_BLOCK_STEPS, len(f_words), head + _LINE_WORDS), np.uint32)
-    words[:, :, ht:head] = f_words
+    ht = 0
     for first, rows in blocks:
         for start in range(0, len(rows), _BLOCK_STEPS):
             values = rows[start : start + _BLOCK_STEPS]
-            block = words[: len(values)]
             step = first + start
-            block[:, :, :ht] = t_words[step : step + len(values), None]
+            t_words = _padded_words([_fmt(t) for t in t_axis[step : step + len(values)].tolist()])
+            if t_words.shape[1] != ht:
+                ht, head = t_words.shape[1], t_words.shape[1] + f_words.shape[1]
+                words = np.empty((_BLOCK_STEPS, len(f_words), head + _LINE_WORDS), np.uint32)
+                words[:, :, ht:head] = f_words
+            block = words[: len(values)]
+            block[:, :, :ht] = t_words[:, None]
             block[:, :, head:] = _g12_lines(values.ravel()).reshape(len(values), -1, _LINE_WORDS)
             yield block.tobytes().translate(None, b"\0")
 
@@ -361,8 +363,8 @@ def _stream_surface(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Write the surface CSV block by block as the march goes; return the f axis and last row.
 
-    Only the march's 65-row buffer and one formatting block are held, however
-    many steps the grid has.
+    Of the surface only the march's 65-row buffer and one formatting block are
+    held, however many steps the grid has; the t axis is the one array of nt + 1.
     """
     t_axis, f_axis = _grid_axes(config.params, band, config.grid)
     last = np.empty(config.grid.nf)
@@ -381,13 +383,11 @@ def cmd_figure(which: int, config: RunConfig) -> int:
     print(f"targetzone figure {which}")
     _echo(_param_pairs(config))
 
-    if which in (1, 2, 3):
-        _write_pde_figure(which, out, config)
-        written = [out]
-    elif which == 4:
+    if which == 4:
         written = _write_fig4(out, config)
     else:
-        raise ParameterError(f"must be 1, 2, 3 or 4, got {which}", "which")
+        _write_pde_figure(which, out, config)
+        written = [out]
 
     for path in written:
         print(f"  wrote {path}")
@@ -406,20 +406,17 @@ def _write_pde_figure(which: int, out: str, config: RunConfig) -> None:
         # The steps nearest each section time, as slice_at picks them on the full surface.
         steps = _nearest_steps(t_axis, [fr * params.horizon for fr in _SECTION_FRACTIONS])
         sections = solve_nonstationary(params, band, grid, steps=steps)
-        f_values = f_axis.tolist()
-        rows = [
-            (t, f, e)
-            for t, section in zip(sections.t_axis.tolist(), sections.values.tolist())
-            for f, e in zip(f_values, section)
-        ]
-        write_csv(out, ["t", "f", "e"], _csv_lines(rows))
-    else:
-        # Only the two edge columns are kept as the march goes.
-        lower, upper = [], []
-        for _, rows in _march_blocks(params, band, grid, f_axis):
-            lower += rows[:, 0].tolist()
-            upper += rows[:, -1].tolist()
-        write_csv(out, ["t", "e_lower", "e_upper"], _csv_lines(zip(t_axis.tolist(), lower, upper)))
+        lines = _surface_lines(sections.t_axis, f_axis, [(0, sections.values)])
+        write_csv(out, ["t", "f", "e"], lines)
+        return
+
+    def edge_lines() -> Iterator[bytes]:
+        """Each march block's two edge columns, written as the block passes."""
+        for first, rows in _march_blocks(params, band, grid, f_axis):
+            t = t_axis[first : first + len(rows)].tolist()
+            yield from _csv_lines(zip(t, rows[:, 0].tolist(), rows[:, -1].tolist()))
+
+    write_csv(out, ["t", "e_lower", "e_upper"], edge_lines())
 
 
 def _write_fig4(out: str, config: RunConfig) -> list[str]:

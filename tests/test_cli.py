@@ -358,18 +358,27 @@ def test_csv_in_a_read_only_directory_is_written_in_place(tmp_path, monkeypatch,
     assert os.listdir(locked) == ["x.csv"]
 
 
-@pytest.mark.parametrize("out", [True, False], ids=["out", "report-only"])
-def test_solve_memory_does_not_grow_with_the_surface(tmp_path, capsys, out):
+# A narrow, long grid: laying out the t texts of all 20,001 nodes up front
+# took the peak of `solve --out` and figures 1 and 3 to about 2.1 MB.
+NARROW = ["--nf", "3", "--nt", "20000"]
+
+
+@pytest.mark.parametrize(
+    "out, grid, bound",
+    [(True, [], 3e6), (False, [], 3e6), (True, NARROW, 1e6)],
+    ids=["out", "report-only", "out-narrow"],
+)
+def test_solve_memory_does_not_grow_with_the_surface(tmp_path, capsys, out, grid, bound):
     # The 401 x 3001 reference surface is 9.6 MB; solve holds the march's
     # 65-row buffer and one 16-step formatting block instead.
-    argv = ["solve", "--out", str(tmp_path / "s.csv")] if out else ["solve"]
+    argv = ["solve", *grid, "--out", str(tmp_path / "s.csv")] if out else ["solve", *grid]
     tracemalloc.start()
     try:
         assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3e6
+    assert peak < bound
 
 
 def test_solve_invalid_grid_fails_with_key(capsys):
@@ -501,22 +510,35 @@ PINNED_FIGURE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("which", [2, 3])
-def test_figure_bytes_are_pinned(tmp_path, capsys, which):
+# At nt = 3 the sections at t = 0 and 0.15 are both step 0, so the block
+# figure 2 hands the surface writer repeats a step.
+REPEATED_SECTIONS = (["--nf", "5", "--nt", "3"], "a412a5181fc336fce9946e0088ccff00157699e4c98c6dadf26e7e777635cafa")
+
+
+@pytest.mark.parametrize(
+    "which, grid, digest",
+    [(2, [], PINNED_FIGURE_SHA256[2]), (3, [], PINNED_FIGURE_SHA256[3]), (2, *REPEATED_SECTIONS)],
+    ids=["2", "3", "2-repeated-steps"],
+)
+def test_figure_bytes_are_pinned(tmp_path, capsys, which, grid, digest):
     out = tmp_path / f"fig{which}.csv"
-    assert main(["figure", "--which", str(which), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FIGURE_SHA256[which]
+    assert main(["figure", "--which", str(which), *grid, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("which", ["1", "2", "3"])
-def test_figure_memory_does_not_grow_with_the_surface(tmp_path, capsys, which):
+@pytest.mark.parametrize(
+    "which, grid, bound",
+    [("1", [], 3e6), ("2", [], 3e6), ("3", [], 3e6), ("1", NARROW, 1e6), ("3", NARROW, 1e6)],
+    ids=["1", "2", "3", "1-narrow", "3-narrow"],
+)
+def test_figure_memory_does_not_grow_with_the_surface(tmp_path, capsys, which, grid, bound):
     tracemalloc.start()
     try:
-        assert main(["figure", "--which", which, "--out", str(tmp_path / "f.csv")]) == 0
+        assert main(["figure", "--which", which, *grid, "--out", str(tmp_path / "f.csv")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3e6
+    assert peak < bound
 
 
 def test_figure3_boundary_dynamics(tmp_path, capsys):
