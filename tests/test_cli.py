@@ -358,8 +358,8 @@ def test_csv_in_a_read_only_directory_is_written_in_place(tmp_path, monkeypatch,
     assert os.listdir(locked) == ["x.csv"]
 
 
-# A narrow, long grid: laying out the t texts of all 20,001 nodes up front
-# took the peak of `solve --out` and figures 1 and 3 to about 2.1 MB.
+# A narrow, long grid, where anything held per time step dominates: about
+# 100 B per step would take 20,001 steps to 2 MB.
 NARROW = ["--nf", "3", "--nt", "20000"]
 
 
