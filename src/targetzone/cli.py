@@ -5,12 +5,11 @@ identical configuration and seed reproduce reports and CSV files byte for
 byte. Figure CSVs are long-format so any plotting tool can pivot them.
 Times are reported as time remaining t; calendar time is tau = T - t.
 
-`solve --out` and `figure --which 1/2/3` hold O(nf) rows of the surface
-whatever nt is: the surface and edge-path CSVs are written block by block as
-the PDE march yields them, and figure 2 keeps only its five sections. Only
-the t axis, one float per time node, grows with nt. A CSV replaces a
-missing or regular-file target atomically, so a run that fails part-way
-leaves no file; other targets, such as a pipe, are written in place.
+`solve` and `figure --which 1/2/3` hold O(nf) state whatever nt is: the CSVs
+are written block by block, each block with its own times, as the PDE march
+yields them, and figure 2 keeps only its five sections. A CSV replaces a
+missing or regular-file target atomically, so a run that fails part-way leaves
+no file; other targets, such as a pipe, are written in place.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from .config import SETTINGS, RunConfig, parse_config
 from .errors import ParameterError, TargetZoneError
 from .model import Band, ModelParams
-from .pde import _grid_axes, _march_blocks, _nearest_steps, solve_nonstationary
+from .pde import Blocks, _f_axis, _march_blocks, _nearest_steps, solve_nonstationary
 from .stationary import (
     calibrate_bm,
     calibrate_symmetric,
@@ -333,21 +332,17 @@ def _g12_lines(values: np.ndarray) -> np.ndarray:
     return words
 
 
-Blocks = Iterable[tuple[int, np.ndarray]]  # (first step, rows), as _march_blocks yields them
-
-
-def _surface_lines(t_axis: np.ndarray, f_axis: np.ndarray, blocks: Blocks) -> Iterator[bytes]:
+def _surface_lines(f_axis: np.ndarray, blocks: Blocks) -> Iterator[bytes]:
     """The CSV lines of each block's rows, read before the next block is asked for."""
     # A line is t and ",<f>," NUL-padded to whole words, then the e words. Each
     # sub-block lays out its own t words, padded to its widest t; the buffer and
     # its f words are laid out again only when that width changes.
     f_words = _padded_words([f",{_fmt(f)}," for f in f_axis.tolist()])
     ht = 0
-    for first, rows in blocks:
+    for times, rows in blocks:
         for start in range(0, len(rows), _BLOCK_STEPS):
             values = rows[start : start + _BLOCK_STEPS]
-            step = first + start
-            t_words = _padded_words([_fmt(t) for t in t_axis[step : step + len(values)].tolist()])
+            t_words = _padded_words([_fmt(t) for t in times[start : start + _BLOCK_STEPS].tolist()])
             if t_words.shape[1] != ht:
                 ht, head = t_words.shape[1], t_words.shape[1] + f_words.shape[1]
                 words = np.empty((_BLOCK_STEPS, len(f_words), head + _LINE_WORDS), np.uint32)
@@ -363,18 +358,18 @@ def _stream_surface(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Write the surface CSV block by block as the march goes; return the f axis and last row.
 
-    Of the surface only the march's 65-row buffer and one formatting block are
-    held, however many steps the grid has; the t axis is the one array of nt + 1.
+    Of the surface only the march's 65-row buffer, its block's times and one
+    formatting block are held, however many steps the grid has.
     """
-    t_axis, f_axis = _grid_axes(config.params, band, config.grid)
+    f_axis = _f_axis(band, config.grid)
     last = np.empty(config.grid.nf)
 
     def blocks() -> Blocks:
-        for first, rows in _march_blocks(config.params, band, config.grid, f_axis):
+        for times, rows in _march_blocks(config.params, band, config.grid):
             last[:] = rows[-1]
-            yield first, rows
+            yield times, rows
 
-    write_csv(path, ["t", "f", "e"], _surface_lines(t_axis, f_axis, blocks()))
+    write_csv(path, ["t", "f", "e"], _surface_lines(f_axis, blocks()))
     return f_axis, last
 
 
@@ -401,20 +396,19 @@ def _write_pde_figure(which: int, out: str, config: RunConfig) -> None:
     if which == 1:
         _stream_surface(out, config, band)
         return
-    t_axis, f_axis = _grid_axes(params, band, grid)
     if which == 2:
         # The steps nearest each section time, as slice_at picks them on the full surface.
-        steps = _nearest_steps(t_axis, [fr * params.horizon for fr in _SECTION_FRACTIONS])
+        times = [fr * params.horizon for fr in _SECTION_FRACTIONS]
+        steps = _nearest_steps(params.horizon, grid.nt, times)
         sections = solve_nonstationary(params, band, grid, steps=steps)
-        lines = _surface_lines(sections.t_axis, f_axis, [(0, sections.values)])
+        lines = _surface_lines(sections.f_axis, [(sections.t_axis, sections.values)])
         write_csv(out, ["t", "f", "e"], lines)
         return
 
     def edge_lines() -> Iterator[bytes]:
         """Each march block's two edge columns, written as the block passes."""
-        for first, rows in _march_blocks(params, band, grid, f_axis):
-            t = t_axis[first : first + len(rows)].tolist()
-            yield from _csv_lines(zip(t, rows[:, 0].tolist(), rows[:, -1].tolist()))
+        for times, rows in _march_blocks(params, band, grid):
+            yield from _csv_lines(zip(times.tolist(), rows[:, 0].tolist(), rows[:, -1].tolist()))
 
     write_csv(out, ["t", "e_lower", "e_upper"], edge_lines())
 
@@ -427,6 +421,8 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
     """
     p = config.params
     stem = Path(out)
+    if not stem.name:  # "." or "/": no file name to build the curve names from
+        raise ParameterError(f"{out!r} names no file", "out")
     # BM first, then one mean-reverting curve per rho.
     models = [
         _calibrated_band(ModelParams(p.alpha, rho, p.sigma, horizon=p.horizon), config.e_bar)

@@ -26,22 +26,20 @@ scheme second order in f. Central advection is monotone while the cell
 Peclet number rho*|f|*df/sigma^2 stays at or below one; building the
 operator warns with a RuntimeWarning when it does not.
 
-_march_blocks yields step 0's zero row and then each solved block as
-(first step, rows). It marches through a (65, nf) buffer whose last row is
-carried to row 0 for the next block, so its memory does not grow with nt.
-solve_nonstationary copies the rows it keeps out of the buffer as their
-block passes: every row by default, only the listed ones with `steps`.
-GridSpec's nf*(nt + 1) <= 1e8 rule bounds the full surface (and holds with
-`steps` too). convergence_order keeps only its three probe rows of each of
-its five grids, and the CLI streams the surface CSV from the blocks.
+_march_blocks yields step 0's zero row and then each solved block with its
+times, through a (65, nf) buffer whose memory does not grow with nt. Only
+this module knows the grid, and none of its helpers holds nt + 1 times.
+GridSpec's nf*(nt + 1) <= 1e8 rule bounds the full surface (also with `steps`).
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -60,6 +58,7 @@ _BLOCK = 64
 # Most nodes nf*(nt + 1) of a surface, 0.8 GB of floats; solve_nonstationary
 # allocates the rows it keeps at once, all of them by default.
 MAX_CELLS = 10**8
+Blocks = Iterable[tuple[np.ndarray, np.ndarray]]  # (times, rows), as _march_blocks yields them
 
 
 @dataclass(frozen=True)
@@ -144,29 +143,40 @@ def _kept_steps(steps, nt: int) -> np.ndarray:
     return kept
 
 
-def _grid_axes(params: ModelParams, band: Band, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The time-remaining axis (nt + 1 nodes on [0, T]) and the f axis (nf nodes on the band)."""
-    t = np.linspace(0.0, params.horizon, grid.nt + 1)
-    return t, np.linspace(band.f_lo, band.f_hi, grid.nf)
+def _f_axis(band: Band, grid: GridSpec) -> np.ndarray:
+    """The f axis: nf nodes on the band."""
+    return np.linspace(band.f_lo, band.f_hi, grid.nf)
 
 
-def _nearest_steps(t_axis: np.ndarray, times) -> list[int]:
-    """The index of the t_axis node nearest each time, the first one on a tie."""
-    return [int(np.argmin(np.abs(t_axis - t))) for t in times]
+def _step_times(horizon: float, nt: int, steps) -> np.ndarray:
+    """np.linspace(0, horizon, nt + 1)[steps] bit for bit, with k/nt*horizon where dt underflows."""
+    k, dt = np.asarray(steps, dtype=float), horizon / nt
+    return np.where(k == nt, horizon, k * dt if dt else k / nt * horizon)
 
 
-def _march_blocks(
-    params: ModelParams, band: Band, grid: GridSpec, f: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield the theta-scheme march from e(0, f) = 0 as (first step, rows) blocks.
+def _nearest_steps(horizon: float, nt: int, times) -> list[int]:
+    """The step nearest each time, the first on a tie, as argmin finds it among all nt + 1."""
+    # Steps below nt have non-decreasing times, repeated where dt is subnormal, that may pass the
+    # horizon, step nt's. Candidates: nt, the first step at or above t, the first of the one below.
+    node = partial(_step_times, horizon, nt)
+    first = partial(bisect_left, range(nt), key=node)
+    return [
+        min((first(node(first(t) - 1)), first(t), nt), key=lambda k: (abs(node(k) - t), k))
+        for t in times
+    ]
 
-    `f` is the f axis from _grid_axes. The first block is step 0's zero row;
-    each later one holds the solved rows of up to 64 steps, so the blocks
-    give every step once, in order. The march runs through a (65, nf)
-    buffer, and `rows` stays valid only until the next block is asked for.
+
+def _march_blocks(params: ModelParams, band: Band, grid: GridSpec) -> Blocks:
+    """Yield the theta-scheme march from e(0, f) = 0 as (times, rows) blocks.
+
+    The first block is step 0's zero row; each later one holds the solved
+    rows of up to 64 steps and their times, so the blocks give every step
+    once, in order. The march runs through a (65, nf) buffer, and `rows`
+    stays valid only until the next block is asked for.
     A non-finite block raises InstabilityError before it is yielded; a march
     past the bound raises it once the last block has been yielded.
     """
+    f = _f_axis(band, grid)
     lower, main, upper = _operator_diagonals(params, band, f)
     dt = params.horizon / grid.nt
     theta = grid.theta
@@ -185,7 +195,7 @@ def _march_blocks(
     # The buffer's row 0 holds the last solved step and is carried over.
     march = np.empty((min(_BLOCK, grid.nt) + 1, grid.nf))
     march[0] = 0.0
-    yield 0, march[:1]
+    yield _step_times(params.horizon, grid.nt, [0]), march[:1]
     coupling = np.empty(grid.nf - 1)
     bound = max(abs(band.f_lo), abs(band.f_hi))
     first_over = 0  # the first step past the bound; 0 while there is none
@@ -222,7 +232,7 @@ def _march_blocks(
         over = np.flatnonzero((top > bound) | (bottom < -bound))
         if over.size and not first_over:
             first_over = n0 + 1 + int(over[0])
-        yield n0 + 1, new
+        yield _step_times(params.horizon, grid.nt, np.arange(n0 + 1, n1 + 1)), new
         march[0] = new[-1]
     if first_over:
         k = first_over
@@ -241,16 +251,15 @@ def solve_nonstationary(
     The returned Surface holds the kept rows and their t values only.
     """
     kept = np.arange(grid.nt + 1) if steps is None else _kept_steps(steps, grid.nt)
-    t, f = _grid_axes(params, band, grid)
-    # Kept rows are copied out in step order as their block passes.
+    # Kept rows are copied out in step order as their block (from step end - len(rows)) passes.
     values = np.empty((kept.size, grid.nf))
     order = np.argsort(kept, kind="stable")
     ordered = kept[order]
-    done = 0
-    for first, rows in _march_blocks(params, band, grid, f):
-        start, done = done, int(np.searchsorted(ordered, first + len(rows)))
-        values[order[start:done]] = rows[ordered[start:done] - first]
-    return Surface(t[kept], f, values)
+    done = end = 0
+    for _, rows in _march_blocks(params, band, grid):
+        start, done = done, int(np.searchsorted(ordered, end := end + len(rows)))
+        values[order[start:done]] = rows[ordered[start:done] - (end - len(rows))]
+    return Surface(_step_times(params.horizon, grid.nt, kept), _f_axis(band, grid), values)
 
 
 @dataclass(frozen=True)
@@ -267,7 +276,7 @@ def slice_at(surface: Surface, t: float) -> Slice:
     t_max = surface.t_axis.max()  # kept steps may come in any order
     if not 0.0 <= t <= t_max:
         raise ParameterError(f"t={t} outside [0, {t_max}]", "t")
-    k = _nearest_steps(surface.t_axis, [t])[0]
+    k = int(np.argmin(np.abs(surface.t_axis - t)))
     return Slice(float(surface.t_axis[k]), surface.f_axis, surface.values[k])
 
 

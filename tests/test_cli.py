@@ -180,8 +180,8 @@ def test_surface_writer_matches_row_formatter_on_awkward_floats(tmp_path):
     values[3, 1:] = (np.inf, -np.inf, np.nan)
 
     out_path = tmp_path / "surface.csv"
-    blocks = [(0, values[:1]), (1, values[1:])]
-    write_csv(out_path, ["t", "f", "e"], _surface_lines(t_axis, f_axis, blocks))
+    blocks = [(t_axis[:1], values[:1]), (t_axis[1:], values[1:])]
+    write_csv(out_path, ["t", "f", "e"], _surface_lines(f_axis, blocks))
     expected = "t,f,e\n" + "".join(
         ",".join(_fmt(x) for x in (t, f, e)) + "\n"
         for t, row in zip(t_axis.tolist(), values.tolist())
@@ -541,6 +541,25 @@ def test_figure_memory_does_not_grow_with_the_surface(tmp_path, capsys, which, g
     assert peak < bound
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--out", "s.csv"], ["solve"], *(["figure", "--which", w, "--out", "f.csv"] for w in "123")],
+    ids=["solve-out", "solve-report-only", "figure-1", "figure-2", "figure-3"],
+)
+def test_memory_does_not_grow_with_nt(tmp_path, monkeypatch, capsys, argv):
+    # Only the time grid grows from 5,000 to 20,000 steps; 8 B per step would be 120 kB.
+    monkeypatch.chdir(tmp_path)
+    peaks = []
+    for nt in ("5000", "20000"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--nf", "3", "--nt", nt]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 30e3
+
+
 def test_figure3_boundary_dynamics(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     assert main(["figure", "--which", "3", "--out", str(out)]) == 0
@@ -613,6 +632,17 @@ def test_figure4_curves_sharing_a_file_write_no_files(tmp_path, capsys, rho_list
     assert main(["figure", "--which", "4", "--rho-list", rho_list, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: rho_list: ")
+    assert "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [".", "/"])
+def test_figure4_out_without_a_file_name_fails_with_key(tmp_path, monkeypatch, capsys, out):
+    # The curve files are named after --out's file name, which "." and "/" lack.
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "--which", "4", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out: {out!r} names no file\n"
     assert "wrote" not in captured.out
     assert list(tmp_path.iterdir()) == []
 

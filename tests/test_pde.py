@@ -20,7 +20,7 @@ from targetzone import (
     slice_at,
     solve_nonstationary,
 )
-from targetzone.pde import _grid_axes, _march_blocks
+from targetzone.pde import _march_blocks, _nearest_steps, _step_times
 
 
 def _third_derivative_bound(params, coefs, band, n=401):
@@ -447,10 +447,62 @@ def test_march_blocks_give_every_step_once_in_order(base_params, calibrated, nt)
     _, band = calibrated
     grid = GridSpec(21, nt, 0.5)
     full = solve_nonstationary(base_params, band, grid)
-    f = _grid_axes(base_params, band, grid)[1]
-    blocks = [(first, rows.copy()) for first, rows in _march_blocks(base_params, band, grid, f)]
-    assert [first for first, _ in blocks] == [0, *range(1, nt + 1, 64)]
+    blocks = [(times, rows.copy()) for times, rows in _march_blocks(base_params, band, grid)]
+    assert [len(rows) for _, rows in blocks] == [1, *(min(64, nt + 1 - k) for k in range(1, nt + 1, 64))]
+    assert np.concatenate([times for times, _ in blocks]).tobytes() == full.t_axis.tobytes()
     assert np.concatenate([rows for _, rows in blocks]).tobytes() == full.values.tobytes()
+
+
+# Horizons whose dt is normal, large, subnormal (so step times repeat, and a
+# rounded k*dt passes the horizon) and 0 (where linspace scales k/nt instead).
+STEP_HORIZONS = [3.0, 1 / 3, 7.3, 1e300, 1e-320, 5e-324]
+STEP_COUNTS = [1, 3, 64, 65, 300, 3000]
+
+
+@pytest.mark.parametrize("nt", STEP_COUNTS)
+@pytest.mark.parametrize("horizon", STEP_HORIZONS)
+def test_step_times_are_the_linspace_bits(horizon, nt):
+    axis = np.linspace(0.0, horizon, nt + 1)
+    assert _step_times(horizon, nt, np.arange(nt + 1)).tobytes() == axis.tobytes()
+    steps = np.array([nt, 0, nt // 2, nt])
+    assert _step_times(horizon, nt, steps).tobytes() == axis[steps].tobytes()
+
+
+def _argmin_steps(horizon, nt, times):
+    axis = np.linspace(0.0, horizon, nt + 1)
+    return [int(np.argmin(np.abs(axis - t))) for t in times]
+
+
+@pytest.mark.parametrize("nt", STEP_COUNTS)
+@pytest.mark.parametrize("horizon", STEP_HORIZONS)
+def test_nearest_steps_are_the_argmin_over_the_axis(horizon, nt):
+    rng = np.random.default_rng(nt)
+    axis = np.linspace(0.0, horizon, nt + 1)
+    times = [fr * horizon for fr in (0.0, 0.05, 0.2, 0.65, 1.0)]
+    times += [*rng.uniform(0.0, horizon, 20), *axis[rng.integers(0, nt + 1, 5)]]
+    times += [*(axis[:-1] / 2 + axis[1:] / 2)[rng.integers(0, nt, 5)]]  # midpoints
+    assert _nearest_steps(horizon, nt, times) == _argmin_steps(horizon, nt, times)
+
+
+def test_nearest_steps_break_exact_ties_toward_the_first_step():
+    # At nt = 30, 0.05*T is 1.5 steps; on these horizons it is an exact tie
+    # in floats too (at T = 3 it is not: step 2 is nearer by an ulp).
+    for horizon in (1.625, 3.25, 7.5, 13.0, 15.0):
+        t = 0.05 * horizon
+        axis = np.linspace(0.0, horizon, 31)
+        assert t - axis[1] == axis[2] - t
+        assert _nearest_steps(horizon, 30, [t]) == _argmin_steps(horizon, 30, [t]) == [1]
+
+
+def test_nearest_steps_on_subnormal_horizons():
+    # Steps 290-299 lie above T = 1e-320, so the horizon is step 300 itself.
+    assert np.linspace(0.0, 1e-320, 301)[290] > 1e-320
+    assert _nearest_steps(1e-320, 300, [1e-320]) == [300]
+    for horizon in (1e-320, 2e-321, 1e-318, 5e-324, 1e-323):
+        for nt in (2, 7, 30, 299, 300):
+            axis = np.linspace(0.0, horizon, nt + 1)
+            times = [*axis, horizon / 3, horizon / 2]
+            assert _nearest_steps(horizon, nt, times) == _argmin_steps(horizon, nt, times)
 
 
 def test_march_blocks_leave_the_callers_error_state_between_blocks(base_params, calibrated):
@@ -459,7 +511,7 @@ def test_march_blocks_leave_the_callers_error_state_between_blocks(base_params, 
     _, band = calibrated
     with np.errstate(over="raise", invalid="warn"):
         grid = GridSpec(21, 130, 0.5)
-        for _ in _march_blocks(base_params, band, grid, _grid_axes(base_params, band, grid)[1]):
+        for _ in _march_blocks(base_params, band, grid):
             assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
 
 
