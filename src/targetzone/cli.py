@@ -421,7 +421,7 @@ def _write_fig4(out: str, config: RunConfig) -> list[str]:
     """
     p = config.params
     stem = Path(out)
-    if not stem.name:  # "." or "/": no file name to build the curve names from
+    if stem.name in ("", ".."):  # ".", "/" or "..": no file name to build the curve names from
         raise ParameterError(f"{out!r} names no file", "out")
     # BM first, then one mean-reverting curve per rho.
     models = [

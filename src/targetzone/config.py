@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 from .model import ModelParams
 from .pde import GridSpec
-from .stationary import check_e_bar
 from .stochastic import check_mc_settings
 
 
@@ -72,7 +71,7 @@ def _convert(key: str, raw: object):
 
 
 def _validated(settings: dict[str, object]) -> RunConfig:
-    check_e_bar(settings["e_bar"])
+    check_real(settings["e_bar"], "e_bar", 0, open_lo=True)
     # rho_list belongs to no domain type, so it is checked here.
     rho_list = settings["rho_list"]
     if not rho_list or not all(r > 0 and math.isfinite(r) for r in rho_list):

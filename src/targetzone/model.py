@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Economic constants of the model.
+    """Economic constants of the model; each range below is one `check_real` call.
 
     alpha    semi-elasticity of the rate to its expected change (years), > 0
     rho      mean-reversion speed of the fundamental (1/years), >= 0
@@ -26,22 +26,14 @@ class ModelParams:
     horizon: float = 3.0
 
     def __post_init__(self):
-        for key in ("alpha", "rho", "sigma", "horizon"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ParameterError(f"{key} must be finite, got {value}", key)
+        check_real(self.alpha, "alpha", 0, open_lo=True)
+        check_real(self.rho, "rho", 0)
+        check_real(self.sigma, "sigma", 0, open_lo=True)
+        check_real(self.horizon, "horizon", 0, open_lo=True)
         if self.mu != 0:  # nan included; the band is symmetric about central parity
             raise ParameterError(f"mu must be 0, got {self.mu}", "mu")
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}", "alpha")
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}", "sigma")
         if not 0 < self.sigma * self.sigma < math.inf:  # the models divide by sigma**2
             raise ParameterError(f"sigma*sigma over- or underflows at sigma={self.sigma}", "sigma")
-        if self.rho < 0:
-            raise ParameterError(f"rho must be non-negative, got {self.rho}", "rho")
-        if not self.horizon > 0:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}", "horizon")
 
 
 @dataclass(frozen=True)
@@ -54,6 +46,8 @@ class Band:
     e_hi: float
 
     def __post_init__(self):
+        for key in ("f_lo", "f_hi", "e_lo", "e_hi"):
+            check_real(getattr(self, key), key, -math.inf)
         if not self.f_lo < self.f_hi:
             raise ParameterError(
                 f"band requires f_lo < f_hi, got [{self.f_lo}, {self.f_hi}]", "f_lo"
@@ -70,6 +64,9 @@ class StationaryCoefficients:
 
     c2: float
 
+    def __post_init__(self):
+        check_real(self.c2, "c2", -math.inf)
+
 
 @dataclass(frozen=True)
 class BmStationaryCoefficients:
@@ -79,5 +76,5 @@ class BmStationaryCoefficients:
     f_bar: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ParameterError(f"lambda must be positive, got {self.lam}", "lam")
+        check_real(self.lam, "lam", 0, open_lo=True)
+        check_real(self.f_bar, "f_bar", 0, open_lo=True)

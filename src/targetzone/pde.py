@@ -44,7 +44,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import InstabilityError, ParameterError, SingularSystemError, check_count
+from .errors import InstabilityError, ParameterError, SingularSystemError, check_count, check_real
 from .model import Band, ModelParams
 
 # Probe fractions for the self-convergence diagnostics. Off-center in f:
@@ -70,16 +70,11 @@ class GridSpec:
     theta: float = 0.5
 
     def __post_init__(self):
-        check_count(self.nf, "nf")
-        check_count(self.nt, "nt")
-        if self.nf < 3:
-            raise ParameterError(f"nf must be at least 3, got {self.nf}", "nf")
-        if self.nt < 1:
-            raise ParameterError(f"nt must be at least 1, got {self.nt}", "nt")
+        check_count(self.nf, "nf", 3)
+        check_count(self.nt, "nt", 1)
         if int(self.nf) * (int(self.nt) + 1) > MAX_CELLS:  # numpy integers would wrap
             raise ParameterError(f"nf*(nt+1) = {self.nf}*({self.nt}+1) > {MAX_CELLS:.0e}", "nt")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ParameterError(f"theta must lie in [0, 1], got {self.theta}", "theta")
+        check_real(self.theta, "theta", 0, 1)
 
 
 @dataclass(frozen=True)

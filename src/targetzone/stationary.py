@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import CalibrationError, ConvergenceError, ParameterError
+from .errors import CalibrationError, ConvergenceError, ParameterError, check_real
 from .kummer import kummer_m
 from .model import Band, BmStationaryCoefficients, ModelParams, StationaryCoefficients
 
@@ -63,12 +63,6 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 # k in the Kummer family M(a2 + k, 3/2 + k, z) of the jet's array lanes.
 _FAMILY = np.array([0.0, 1.0, 2.0])
-
-
-def check_e_bar(e_bar: float) -> None:
-    """The band half-width in the rate must be positive and finite."""
-    if not (e_bar > 0 and math.isfinite(e_bar)):
-        raise ParameterError(f"must be positive and finite, got {e_bar}", "e_bar")
 
 
 Points = Union[float, np.ndarray]
@@ -284,7 +278,7 @@ def calibrate_symmetric(
     positive). Initial guess: the free-float preimage
     f_bar = (1 + alpha*rho)*e_bar with c2 = 0.
     """
-    check_e_bar(e_bar)
+    check_real(e_bar, "e_bar", 0, open_lo=True)
     solution = _solution(params)
 
     c2 = 0.0
@@ -348,7 +342,7 @@ def calibrate_bm(alpha: float, sigma: float, e_bar: float) -> tuple[BmStationary
     positive finite float (key alpha).
     """
     ModelParams(alpha, 0.0, sigma)  # checks alpha and sigma
-    check_e_bar(e_bar)
+    check_real(e_bar, "e_bar", 0, open_lo=True)
     alpha_s2 = alpha * sigma**2
     lam = math.sqrt(2.0 / alpha_s2) if alpha_s2 else math.inf
     if not 0 < lam < math.inf:

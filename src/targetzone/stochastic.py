@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import ParameterError, check_count, check_real
 from .model import Band, ModelParams
 
 _BLOCK = 8192  # noise rows per (seed, block) stream; part of the reproducibility contract
@@ -75,17 +75,7 @@ MIN_PATHS = 100  # fewest paths for which the standard error is reported
 MAX_STEPS = 10**8
 # Most paths of an estimate; its samples take 8 bytes per path.
 MAX_PATHS = 10**8
-
-
-def _check_step_and_seed(dt: float, seed: int) -> None:
-    """The step and seed rules shared by `PathSpec` and `check_mc_settings`."""
-    if not 0 < dt < math.inf:
-        raise ParameterError(f"dt must be positive and finite, got {dt}", key="dt")
-    # A seed is one uint64 word: it seeds SeedSequence(seed), whose children
-    # feed the Monte-Carlo blocks.
-    check_count(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be in [0, 2**64), got {seed}", key="seed")
+_MAX_SEED = 2**64 - 1  # a seed is one uint64 word; SeedSequence(seed) feeds the blocks
 
 
 @dataclass(frozen=True)
@@ -98,12 +88,9 @@ class PathSpec:
     seed: int
 
     def __post_init__(self):
-        _check_step_and_seed(self.dt, self.seed)
-        check_count(self.n_steps, "n_steps")
-        if not 1 <= self.n_steps <= MAX_STEPS:
-            raise ParameterError(
-                f"n_steps must lie in [1, {MAX_STEPS:.0e}], got {self.n_steps}", key="n_steps"
-            )
+        check_real(self.dt, "dt", 0, open_lo=True)
+        check_count(self.seed, "seed", 0, _MAX_SEED)
+        check_count(self.n_steps, "n_steps", 1, MAX_STEPS)
 
 
 @dataclass(frozen=True)
@@ -131,21 +118,13 @@ def check_mc_settings(t: float | None, n_paths: int, dt: float, seed: int) -> No
     A ``None`` t is not checked. Errors carry the run-setting key (t, paths,
     dt, seed); a step count t/dt beyond MAX_STEPS is a ``dt`` error.
     """
-    if t is not None and not 0 <= t < math.inf:
-        raise ParameterError(f"t must be non-negative and finite, got {t}", key="t")
-    check_count(n_paths, "paths")
-    if not MIN_PATHS <= n_paths <= MAX_PATHS:
-        raise ParameterError(
-            f"n_paths must lie in [{MIN_PATHS}, {MAX_PATHS:.0e}], got {n_paths}", key="paths"
-        )
-    _check_step_and_seed(dt, seed)
+    if t is not None:
+        check_real(t, "t", 0)
+    check_count(n_paths, "paths", MIN_PATHS, MAX_PATHS)
+    check_real(dt, "dt", 0, open_lo=True)
+    check_count(seed, "seed", 0, _MAX_SEED)
     if t is not None and not t / dt <= MAX_STEPS:
         raise ParameterError(f"t/dt = {t / dt:.3g} steps exceeds {MAX_STEPS:.0e}", key="dt")
-
-
-def _check_band_point(band: Band, f0: float) -> None:
-    if not band.f_lo <= f0 <= band.f_hi:
-        raise ParameterError(f"f0={f0} outside the band [{band.f_lo}, {band.f_hi}]", "f0")
 
 
 def _ou_step(params: ModelParams, dt: float) -> tuple[float, float]:
@@ -164,7 +143,7 @@ def simulate_regulated_ou(params: ModelParams, band: Band, spec: PathSpec) -> Re
     jump across the whole band). Each push is booked into the regulator of
     its edge.
     """
-    _check_band_point(band, spec.f0)
+    check_real(spec.f0, "f0", band.f_lo, band.f_hi)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(spec.seed)))
     decay, scale = _ou_step(params, spec.dt)
     lo, hi = band.f_lo, band.f_hi
@@ -262,7 +241,7 @@ def feynman_kac_estimate(
         20,000 paths and seed 1 it gives 0.00550 at dt = 0.1 and 0.00925 at
         dt = 0.3, against the PDE's 0.005026. ROADMAP item 16 would cancel it.
     """
-    _check_band_point(band, f0)
+    check_real(f0, "f0", band.f_lo, band.f_hi)
     check_mc_settings(t, n_paths, dt, seed)
 
     if t == 0.0:

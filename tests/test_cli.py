@@ -636,15 +636,19 @@ def test_figure4_curves_sharing_a_file_write_no_files(tmp_path, capsys, rho_list
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("out", [".", "/"])
+@pytest.mark.parametrize("out", [".", "/", "..", "sub/.."])
 def test_figure4_out_without_a_file_name_fails_with_key(tmp_path, monkeypatch, capsys, out):
-    # The curve files are named after --out's file name, which "." and "/" lack.
-    monkeypatch.chdir(tmp_path)
+    # The curve files are named after --out's file name, which ".", "/" and ".." lack;
+    # ".." once wrote ".._bm.csv" and ".._ou_rho=<rho>.csv" into the working directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     assert main(["figure", "--which", "4", "--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: out: {out!r} names no file\n"
     assert "wrote" not in captured.out
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
 
 
 def test_figure_output_failure_is_reported(tmp_path, capsys):

@@ -29,6 +29,7 @@ from targetzone import (
     slice_at,
 )
 from targetzone.cli import main
+from targetzone.errors import check_count, check_real
 
 REFERENCE = ModelParams(alpha=3.0, rho=1.0, sigma=0.1)
 REFERENCE_COEFS = StationaryCoefficients(0.0093)
@@ -40,6 +41,47 @@ FLAT_SURFACE = Surface(np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), np.z
 
 def test_config_error_is_parameter_error():
     assert ConfigError is ParameterError
+
+
+@pytest.mark.parametrize(
+    ("check", "value", "bounds", "message"),
+    [
+        (check_count, 3, {"lo": 3}, None),
+        (check_count, 2, {"lo": 3}, "must be an integer >= 3, got 2"),
+        (check_count, 9, {"lo": 0, "hi": 9}, None),
+        (check_count, 10, {"lo": 0, "hi": 9}, "must be an integer in [0, 9], got 10"),
+        (check_count, 1000.0, {"lo": 100}, "must be an integer >= 100, got 1000.0"),
+        (check_count, "5", {"lo": 0}, "must be an integer >= 0, got '5'"),
+        (check_count, np.int64(9), {"lo": 0, "hi": 9}, None),
+        (check_count, np.uint64(2**64 - 1), {"lo": 0, "hi": 2**64 - 1}, None),
+        (check_count, np.float64(5.0), {"lo": 0, "hi": 9}, "must be an integer in [0, 9], got "),
+        (check_count, 2**64, {"lo": 0, "hi": 2**64 - 1}, "must be an integer in [0, 1844"),
+        (check_real, 0.0, {"lo": 0}, None),
+        (check_real, -0.0, {"lo": 0}, None),
+        (check_real, 0.0, {"lo": 0, "open_lo": True}, "must be finite and > 0, got 0.0"),
+        (check_real, -0.0, {"lo": 0, "open_lo": True}, "must be finite and > 0, got -0.0"),
+        (check_real, 5e-324, {"lo": 0, "open_lo": True}, None),
+        (check_real, 1.0, {"lo": 0, "hi": 1}, None),
+        (check_real, 1.0000000000000002, {"lo": 0, "hi": 1}, "must be finite and in [0, 1], got "),
+        (check_real, 1.0, {"lo": 1, "hi": 2, "open_lo": True}, "must be finite and in (1, 2]"),
+        (check_real, math.nan, {"lo": 0}, "must be finite and >= 0, got nan"),
+        (check_real, math.inf, {"lo": 0}, "must be finite and >= 0, got inf"),
+        (check_real, -math.inf, {"lo": -math.inf}, "must be finite, got -inf"),
+        (check_real, math.inf, {"lo": -math.inf}, "must be finite, got inf"),
+        (check_real, np.float64(0.5), {"lo": 0, "hi": 1}, None),
+        (check_real, np.float64(math.nan), {"lo": 0, "hi": 1}, "must be finite and in [0, 1]"),
+        (check_real, np.int64(3), {"lo": 0, "open_lo": True}, None),
+        (check_real, None, {"lo": 0, "open_lo": True}, "must be finite and > 0, got None"),
+    ],
+)
+def test_numeric_checks_at_their_edges(check, value, bounds, message):
+    if message is None:
+        check(value, "k", **bounds)
+        return
+    with pytest.raises(ParameterError) as excinfo:
+        check(value, "k", **bounds)
+    assert excinfo.value.key == "k"
+    assert str(excinfo.value).startswith(f"k: {message}")
 
 
 def test_keyed_error_reads_key_colon_message():
@@ -141,6 +183,44 @@ def test_keyed_error_reads_key_colon_message():
             ParameterError,
             "lam",
             id="bm-coefs-lam",
+        ),
+        # Each of these five once built a value that evaluated to nan, to a wrong
+        # slope or to f itself, or (the band) reached a singular PDE solve.
+        pytest.param(
+            lambda: StationaryCoefficients(math.nan), ParameterError, "c2", id="coefs-c2-nan"
+        ),
+        pytest.param(
+            lambda: BmStationaryCoefficients(8.16, math.nan),
+            ParameterError,
+            "f_bar",
+            id="bm-coefs-f-bar-nan",
+        ),
+        pytest.param(
+            lambda: BmStationaryCoefficients(8.16, -1.0),
+            ParameterError,
+            "f_bar",
+            id="bm-coefs-f-bar-negative",
+        ),
+        pytest.param(
+            lambda: BmStationaryCoefficients(math.inf, 0.08),
+            ParameterError,
+            "lam",
+            id="bm-coefs-lam-inf",
+        ),
+        pytest.param(
+            lambda: Band(-math.inf, math.inf, -0.01, 0.01),
+            ParameterError,
+            "f_lo",
+            id="band-f-lo-inf",
+        ),
+        pytest.param(
+            lambda: Band(-0.1, math.nan, -0.01, 0.01), ParameterError, "f_hi", id="band-f-hi-nan"
+        ),
+        pytest.param(
+            lambda: Band(-0.1, 0.1, -math.inf, 0.01), ParameterError, "e_lo", id="band-e-lo-inf"
+        ),
+        pytest.param(
+            lambda: Band(-0.1, 0.1, -0.01, math.inf), ParameterError, "e_hi", id="band-e-hi-inf"
         ),
         pytest.param(
             lambda: eval_stationary_bm(BM_REFERENCE_COEFS, 100.0), ParameterError, "f", id="bm-f"

@@ -446,7 +446,7 @@ def test_long_run_time_average_near_parity(base_params, calibrated):
 
 def test_estimate_validation(base_params, calibrated):
     _, band = calibrated
-    with pytest.raises(ParameterError, match="n_paths"):
+    with pytest.raises(ParameterError, match="^paths: "):
         feynman_kac_estimate(base_params, band, 0.0, 1.0, 50, 1e-3, seed=1)
     with pytest.raises(ParameterError, match="f0"):
         feynman_kac_estimate(base_params, band, 1.0, 1.0, 1000, 1e-3, seed=1)
