@@ -13,8 +13,10 @@ source s = f/alpha, each step solves
 with one tridiagonal system per step. The matrix does not change with time:
 it is factored once by LAPACK `gttrf`, and each step is one `gttrs` solve of
 a right-hand side built in place in the row it fills. _march_blocks is the
-one march loop. It solves 64 steps per block and checks each block's row maxima
-and minima: the forward and back substitutions keep a non-finite right-hand
+one march loop. It solves 64 steps per block, each step eight ufunc calls and
+one `gttrs` on row views built once per march, and checks each block's max and
+min; only a block that is not finite or past the bound has its rows scanned:
+the forward and back substitutions keep a non-finite right-hand
 side non-finite, so the InstabilityError names the first step whose values
 are not finite, with its t. A march that ends finite raises it too, after its
 last block, naming the first step past the exact solution's bound
@@ -166,10 +168,11 @@ def _march_blocks(params: ModelParams, band: Band, grid: GridSpec) -> Blocks:
 
     The first block is step 0's zero row; each later one holds the solved
     rows of up to 64 steps and their times, so the blocks give every step
-    once, in order. The march runs through a (65, nf) buffer, and `rows`
-    stays valid only until the next block is asked for.
-    A non-finite block raises InstabilityError before it is yielded; a march
-    past the bound raises it once the last block has been yielded.
+    once, in order. The march runs through a (65, nf) buffer whose row views
+    are built once, and `rows` stays valid only until the next block is asked
+    for. Each block is checked as a whole (max and min) before any row is
+    scanned: a non-finite block raises InstabilityError before it is yielded;
+    a march past the bound raises it once the last block has been yielded.
     """
     f = _f_axis(band, grid)
     lower, main, upper = _operator_diagonals(params, band, f)
@@ -183,50 +186,51 @@ def _march_blocks(params: ModelParams, band: Band, grid: GridSpec) -> Blocks:
     if info:
         raise SingularSystemError(f"I - theta*dt*L is singular: pivot {info} is exactly zero")
 
-    w = (1.0 - theta) * dt
+    w = np.array((1.0 - theta) * dt)  # a 0-d array: no scalar conversion per call
     w_upper = w * upper[:-1]
     w_lower = w * lower[1:]
     dt_source = dt * (f / params.alpha)
-    # The buffer's row 0 holds the last solved step and is carried over.
+    # Row 0 carries the last solved step over; the row views are built once per march.
     march = np.empty((min(_BLOCK, grid.nt) + 1, grid.nf))
     march[0] = 0.0
     yield _step_times(params.horizon, grid.nt, [0]), march[:1]
+    old, new = march[:-1], march[1:]
+    views = list(zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:]))
     coupling = np.empty(grid.nf - 1)
+    mul, add = np.multiply, np.add
     bound = max(abs(band.f_lo), abs(band.f_hi))
     first_over = 0  # the first step past the bound; 0 while there is none
     for n0 in range(0, grid.nt, _BLOCK):
         n1 = min(n0 + _BLOCK, grid.nt)
-        old, new = march[: n1 - n0], march[1 : n1 - n0 + 1]
-        rows = zip(old, new, old[:, 1:], old[:, :-1], new[:, :-1], new[:, 1:])
+        new = march[1 : n1 - n0 + 1]
         # Blowup is reported as an error below. The state is not held across
         # a yield, so the caller's code between blocks keeps its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            for u, rhs, u_up, u_down, rhs_head, rhs_tail in rows:
+            for u, rhs, u_up, u_down, rhs_head, rhs_tail in views[: n1 - n0]:
                 # The right-hand side (I + (1-theta)*dt*L) u + dt*s is built in
                 # the row the solution goes to, and solved there.
-                np.multiply(main, u, out=rhs)
-                rhs *= w
-                rhs += u
-                rhs += dt_source
-                np.multiply(w_upper, u_up, out=coupling)
-                rhs_head += coupling
-                np.multiply(w_lower, u_down, out=coupling)
-                rhs_tail += coupling
-                # A contiguous float64 row is solved in place; the pinned surface
-                # hash in the CLI tests would catch a wrapper that copied it.
-                dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-        # The substitutions keep a non-finite right-hand side non-finite,
-        # so the first bad solved row is the first bad step. A row is not
-        # finite exactly where its max or min is not, and past the bound
-        # exactly where max > bound or min < -bound.
-        top, bottom = new.max(axis=1), new.min(axis=1)
-        bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
-        if bad.size:
-            k = n0 + 1 + int(bad[0])
-            raise InstabilityError(f"non-finite values at step {k} (t = {k * dt:g})")
-        over = np.flatnonzero((top > bound) | (bottom < -bound))
-        if over.size and not first_over:
-            first_over = n0 + 1 + int(over[0])
+                mul(main, u, rhs)
+                mul(rhs, w, rhs)
+                add(rhs, u, rhs)
+                add(rhs, dt_source, rhs)
+                mul(w_upper, u_up, coupling)
+                add(rhs_head, coupling, rhs_head)
+                mul(w_lower, u_down, coupling)
+                add(rhs_tail, coupling, rhs_tail)
+                # A contiguous float64 row is solved in place (trans "N",
+                # overwrite_b); the pinned surface hashes would catch a copy.
+                dgttrs(dl, d, du, du2, ipiv, rhs, "N", 1)
+        # NaN fails both tests, so a block that passes is finite and within the
+        # bound; only a block that fails is scanned row by row for its first bad step.
+        if not (new.max() <= bound and new.min() >= -bound):
+            top, bottom = new.max(axis=1), new.min(axis=1)
+            bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
+            if bad.size:
+                k = n0 + 1 + int(bad[0])
+                raise InstabilityError(f"non-finite values at step {k} (t = {k * dt:g})")
+            over = np.flatnonzero((top > bound) | (bottom < -bound))
+            if not first_over:
+                first_over = n0 + 1 + int(over[0])
         yield _step_times(params.horizon, grid.nt, np.arange(n0 + 1, n1 + 1)), new
         march[0] = new[-1]
     if first_over:

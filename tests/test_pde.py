@@ -253,8 +253,9 @@ def test_finite_explicit_blowup_names_the_first_step_past_the_bound(
     assert str(excinfo.value) == f"|e| exceeds max(|f_lo|, |f_hi|) = 0.0886566 from {message}"
 
 
-# nt is not a multiple of the 64-step block in any of these, so the partial
-# tail block is covered.
+# The first three end in a partial block of the 64-step march. The rest pin
+# the block edges (one full block and no tail; a single step) and the
+# explicit scheme on a stable grid.
 @pytest.mark.parametrize(
     ("grid", "digest"),
     [
@@ -270,8 +271,27 @@ def test_finite_explicit_blowup_names_the_first_step_past_the_bound(
             GridSpec(81, 130, 0.5),
             "b7eb059722f875a95af110fe96bfb9ab7cc6c5b9be05ec148ac974299327e8ee",
         ),
+        (
+            GridSpec(41, 64, 0.5),
+            "d242c11281be8700af35421948193139dd040602d62f42696ee34d72b8077e63",
+        ),
+        (
+            GridSpec(41, 1, 1.0),
+            "f1480cacfa1b1ebfb13c1be277608e51101ab10b2208e7c1062f55bacaa9d56a",
+        ),
+        (
+            GridSpec(21, 600, 0.0),
+            "7445d25d79d1251c930401fbdc0786c768d1a3fcce794a6ed47105bfbf11b345",
+        ),
     ],
-    ids=["41x300-cn", "41x300-implicit", "81x130-cn"],
+    ids=[
+        "41x300-cn",
+        "41x300-implicit",
+        "81x130-cn",
+        "41x64-cn",
+        "41x1-implicit",
+        "21x600-explicit",
+    ],
 )
 def test_surface_bits_are_pinned(base_params, calibrated, grid, digest):
     _, band = calibrated
