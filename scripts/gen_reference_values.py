@@ -60,6 +60,15 @@ def bm_calibrate(alpha, sigma, e_bar):
     return lam, f_bar, -1 / (2 * lam * mp.cosh(lam * f_bar))
 
 
+# (alpha, rho, sigma, e_bar) of the symmetric calibrations beyond the reference point.
+OU_POINTS = [
+    (0.5, 5.0, 0.1, 0.2),
+    (44.520313677514466, 0.004508939050233481, 0.22659397028015218, 0.004867791702035497),
+    (1.0, 10.0, 0.05, 0.02),
+    (10.0, 0.1, 0.3, 0.05),
+]
+
+
 def main():
     alpha, sigma, e_bar = mp.mpf(3), mp.mpf("0.1"), mp.mpf("0.01")
 
@@ -74,6 +83,13 @@ def main():
     dump("BM_LAMBDA", lam)
     dump("BM_F_BAR", f_bm)
     dump("BM_A_COEF", a_coef)
+
+    # Points given as floats: mp.mpf takes their exact binary values, as the package does.
+    print("OU_CALIBRATIONS = [")
+    for point in OU_POINTS:
+        c2, f_bar = ou_calibrate(*(mp.mpf(x) for x in point))
+        print(f"    ({point}, {mp.nstr(c2, 17)}, {mp.nstr(f_bar, 17)}),")
+    print("]")
 
 
 if __name__ == "__main__":

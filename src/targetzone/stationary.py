@@ -22,29 +22,27 @@ whose bits np.exp does not always give), and the first point in C order
 whose factor overflows raises. A 0-d array goes through the float code as
 it is and gives a float, as at the OU evaluators.
 
-The OU evaluators take value, slope and curvature from one jet, at a float
-f or over an array of them. `_solution` derives a2 and the powers of rho and
-sigma once, raising ParameterError (key rho or sigma) where one is not a
-usable float; the jet then takes the Kummer values M(a2 + k, 3/2 + k, z)
-up to the order its caller returns: k = 0 for the value, k <= 1 for the
-slope and k <= 2 for the curvature and the ODE residual. That is one float
-call per k at a float, and one call on (points, order + 1) lanes over an
-array. Each lane repeats the float arithmetic, so an array gives the float
-calls' bits point by point, and each order gives the bits the full jet
-gives. The curvature's u**3 is Python's pow, point by point; where it
+The OU evaluators and the ODE residual each make one `_jet` call, at a float
+f or over an array of them, which returns [e, e', e''] up to the order asked
+for. `_solution` derives a2 and the powers of rho and sigma once, raising
+ParameterError (key rho or sigma) where one is not a usable float; the jet
+then takes the Kummer values M(a2 + k, 3/2 + k, z) for k = 0 .. order: one
+float call per k at a float, and one call on (points, order + 1) lanes over
+an array. Each lane repeats the float arithmetic, so an array gives the
+float calls' bits point by point, and a lower order gives the bits of a
+higher one. The curvature's u**3 is Python's pow, point by point; where it
 overflows, the curvature and the residual raise ParameterError keyed f.
 
-Newton derives these constants once per calibration and evaluates its trial
-points on floats in stages, through the same formulas: M(a2, 3/2, z) gives
-the value residual, which alone rejects a point whose residual is no
-smaller than the current norm; M(a2 + 1, 5/2, z) gives the slope and the
-norm; only a point that lowers the norm evaluates M(a2 + 2, 7/2, z) and u**3
-for the curvature, which the next Jacobian needs. So a trial accepts
-exactly the points its full jet would, with the same bits, and a rejected
-one stops at the residual that rejects it. A trial point whose jet
-overflows or whose Kummer series raises is rejected like a NaN residual.
-The initial guess is the first trial, with an infinite norm to beat; where
-it is rejected, the calibration fails.
+Newton's trial points go through the same formulas on floats, in stages:
+M(a2, 3/2, z) gives the value residual, which alone rejects a point whose
+residual is no smaller than the current norm; M(a2 + 1, 5/2, z) gives the
+slope and the norm; only a point that lowers the norm evaluates
+M(a2 + 2, 7/2, z) and u**3 for the curvature, which completes the next
+Jacobian. So a trial accepts exactly the points the full float jet would,
+with the same bits, and a rejected one stops at the residual that rejects
+it. A trial point that overflows or whose Kummer series raises is rejected
+like a NaN residual. The initial guess is the first trial, with an infinite
+norm to beat; where it is rejected, the calibration fails.
 """
 
 from __future__ import annotations
@@ -61,24 +59,9 @@ from .model import Band, BmStationaryCoefficients, ModelParams, StationaryCoeffi
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
-# k in the Kummer family M(a2 + k, 3/2 + k, z) of the jet's array lanes.
-_FAMILY = np.array([0.0, 1.0, 2.0])
 
 
 Points = Union[float, np.ndarray]
-
-
-class _Jet(NamedTuple):
-    """Value, slope and curvature of e at f, plus the c2-columns h2, h2'.
-
-    `_jet` leaves the derivatives above the order it evaluates None.
-    """
-
-    value: Points
-    slope: Points
-    curvature: Points
-    h2: Points
-    h2p: Points
 
 
 class _Solution(NamedTuple):
@@ -145,59 +128,65 @@ def _solution(params: ModelParams) -> _Solution:
 
 
 def _cube(u: float) -> float:
-    """u**3 by Python's pow, also for a numpy scalar; its OverflowError names the point f = -u."""
+    """u**3 by Python's pow, also for a numpy scalar; where it overflows, ParameterError keyed f."""
     try:
         return float(u) ** 3
     except OverflowError:
-        raise OverflowError(f"f**3 overflows at f={0.0 - u}") from None
+        raise ParameterError(f"f**3 overflows at f={0.0 - u}", "f") from None
 
 
-def _jet(solution: _Solution, c2: float, f: Points, order: int) -> _Jet:
-    """Evaluate the stationary solution and its df-derivatives up to `order` at f.
+def _jet(
+    params: ModelParams, coefs: StationaryCoefficients, f: Points, order: int
+) -> list[Points]:
+    """[e, e', e''][: order + 1] at a float f or over an array, with numpy's float warnings off.
 
     The Kummer values M(a2 + k, 3/2 + k, z), k = 0 .. order, are computed
-    once each, on floats or on (point, k) lanes; the derivatives above
-    `order`, and h2' at order 0, are None.
+    once each: one float call per k, or one call on (point, k) lanes.
+    Python floats overflow to inf and nan silently; the lanes must too.
     """
-    a2 = solution.a2
-    u = 0.0 - f  # not -f: u at f = +0.0 must be +0.0, or the curvature's sign flips
-    z = solution.z(u)
-    if isinstance(z, np.ndarray):
-        # Lanes (point, k): a lane error is the one a loop over f would meet first.
-        family = _FAMILY[: order + 1]
-        lanes = kummer_m(a2 + family, family + 1.5, z[..., None])
-        m = [lanes[..., k] for k in range(order + 1)]
-    else:
-        m = [kummer_m(a2, 1.5, z)]
-        if order >= 1:
-            m.append(kummer_m(a2 + 1.0, 2.5, z))
-        if order >= 2:
-            m.append(kummer_m(a2 + 2.0, 3.5, z))
-    h2, value = solution.value(c2, f, u, m[0])
-    if order == 0:
-        return _Jet(value, None, None, h2, None)
-    dm2, h2p, slope = solution.slope(c2, u, m[0], m[1])
-    if order == 1:
-        return _Jet(value, slope, None, h2, h2p)
-    if isinstance(u, np.ndarray):
-        # Python's pow per point: numpy's u**3 rounds differently in some lanes.
-        u3 = np.reshape([_cube(x) for x in u.ravel().tolist()], u.shape)
-    else:
-        u3 = _cube(u)
-    return _Jet(value, slope, solution.curvature(c2, u, u3, dm2, m[2]), h2, h2p)
+    with np.errstate(all="ignore"):
+        solution, c2 = _solution(params), coefs.c2
+        try:
+            u = 0.0 - f  # not -f: u at f = +0.0 must be +0.0, or the curvature's sign flips
+        except OverflowError as exc:  # an int beyond the float range
+            raise ParameterError(str(exc), "f") from None
+        z = solution.z(u)
+        if isinstance(z, np.ndarray):
+            # Lanes (point, k): a lane error is the one a loop over f would meet first.
+            k = np.arange(order + 1.0)
+            lanes = kummer_m(solution.a2 + k, k + 1.5, z[..., None])
+            m = [lanes[..., j] for j in range(order + 1)]
+        else:
+            m = []
+            for k in range(order + 1):
+                m.append(kummer_m(solution.a2 + k, k + 1.5, z))
+        value = solution.value(c2, f, u, m[0])[1]
+        if order == 0:
+            return [value]
+        dm2, _, slope = solution.slope(c2, u, m[0], m[1])
+        if order == 1:
+            return [value, slope]
+        if isinstance(u, np.ndarray):
+            # Python's pow per point: numpy's u**3 rounds differently in some lanes.
+            u3 = np.reshape([_cube(x) for x in u.ravel().tolist()], u.shape)
+        else:
+            u3 = _cube(u)
+        return [value, slope, solution.curvature(c2, u, u3, dm2, m[2])]
 
 
 def _trial(
     solution: _Solution, e_bar: float, c2: float, f: float, norm: float
-) -> tuple[_Jet, tuple[float, float], float] | None:
-    """Newton's trial point (c2, f): its jet, residuals and norm if the norm drops below `norm`.
+) -> tuple[list[list[float]], tuple[float, float], float] | None:
+    """Newton's trial point (c2, f): Jacobian rows, residuals and norm if it lowers `norm`.
 
-    Returns None for a rejected point, as soon as one is certain: each stage
-    adds one Kummer value. The value residual r0 alone rejects when
-    |r0| >= norm or r0 is NaN, since the norm max(|r0|, |r1|) is then no
-    smaller (even for a NaN r1, which Python's max passes over). Only a point
-    that passes pays for the curvature, which the next Jacobian needs; one
-    whose curvature overflows or whose Kummer series raises is rejected too.
+    The residuals are (r0, r1) = (e - e_bar, e') at f, and their Jacobian in
+    (c2, f) has the rows [h2, e'] and [h2', e'']. Returns None for a rejected
+    point, as soon as one is certain: each stage adds one Kummer value. r0
+    alone rejects when |r0| >= norm or r0 is NaN, since the norm
+    max(|r0|, |r1|) is then no smaller (even for a NaN r1, which Python's max
+    passes over). Only a point that passes pays for the curvature, which the
+    next Jacobian needs; one whose curvature overflows or whose Kummer series
+    raises is rejected too.
     """
     try:
         u = 0.0 - f
@@ -214,38 +203,24 @@ def _trial(
         curvature = solution.curvature(c2, u, u**3, dm2, kummer_m(solution.a2 + 2.0, 3.5, z))
     except (OverflowError, ConvergenceError):
         return None
-    return _Jet(value, slope, curvature, h2, h2p), (r0, slope), norm_new
-
-
-def _jet_at(params: ModelParams, coefs: StationaryCoefficients, f: Points, order: int) -> _Jet:
-    """`_jet` up to `order` at a float or over an array, with numpy's float warnings off.
-
-    Python floats overflow to inf and nan silently; the lanes must too. The
-    one Python pow, u**3, raises instead; its first overflowing point in C
-    order is keyed f.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            return _jet(_solution(params), coefs.c2, f, order)
-        except OverflowError as exc:
-            raise ParameterError(str(exc), "f") from None
+    return [[h2, slope], [h2p, curvature]], (r0, slope), norm_new
 
 
 def eval_stationary(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
     """Stationary exchange rate e(f) for given integration constants, at a float or an array."""
-    return _jet_at(params, coefs, f, 0).value
+    return _jet(params, coefs, f, 0)[0]
 
 
 def eval_stationary_slope(params: ModelParams, coefs: StationaryCoefficients, f: Points) -> Points:
     """Analytic de/df of the stationary solution, at a float or an array."""
-    return _jet_at(params, coefs, f, 1).slope
+    return _jet(params, coefs, f, 1)[1]
 
 
 def eval_stationary_curvature(
     params: ModelParams, coefs: StationaryCoefficients, f: Points
 ) -> Points:
     """Analytic d2e/df2 of the stationary solution, at a float or an array."""
-    return _jet_at(params, coefs, f, 2).curvature
+    return _jet(params, coefs, f, 2)[2]
 
 
 def stationary_ode_residual(
@@ -262,8 +237,8 @@ def stationary_ode_residual(
     """
     a, r, s2 = params.alpha, params.rho, params.sigma**2
     f = np.asarray(f_grid, dtype=float)
-    e, ep, epp, _, _ = _jet_at(params, coefs, f, 2)
-    with np.errstate(all="ignore"):  # see _jet_at
+    e, ep, epp = _jet(params, coefs, f, 2)
+    with np.errstate(all="ignore"):  # see _jet
         return 0.5 * a * s2 * epp - a * r * f * ep - e + f
 
 
@@ -290,7 +265,7 @@ def calibrate_symmetric(
             f"f_bar={f_bar}",
             np.array((math.nan, math.nan)),
         )
-    jet, res, norm = accepted
+    jac, res, norm = accepted
 
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _NEWTON_TOL:
@@ -298,9 +273,7 @@ def calibrate_symmetric(
             band = Band(-f_bar, f_bar, -e_bar, e_bar)
             return coefs, band
 
-        # The current point's jet already holds the Jacobian.
-        jac = np.array([[jet.h2, jet.slope], [jet.h2p, jet.curvature]])
-        try:
+        try:  # the current point's trial holds the Jacobian
             step = np.linalg.solve(jac, [-res[0], -res[1]]).tolist()
         except np.linalg.LinAlgError as exc:
             raise CalibrationError(
@@ -323,7 +296,7 @@ def calibrate_symmetric(
                     np.array(res),
                 )
         c2, f_bar = c2_new, f_new
-        jet, res, norm = accepted
+        jac, res, norm = accepted
 
     raise CalibrationError(
         f"calibration did not converge in {_NEWTON_MAX_ITER} iterations "

@@ -64,6 +64,25 @@ def test_calibrate_rho_zero_routes_to_bm(capsys):
     assert float(_field(out, "f_bar")) == pytest.approx(BM_F_BAR, rel=1e-11)
 
 
+# SHA-256 of the whole `calibrate` report: the residual lines come from the
+# stationary evaluators, which the checks above hold only to 1e-10.
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        ([], "d7b0f5637ca1139d7e3fa03afd8fae7d6a8edec386588fc60cb8136b2a6ca015"),
+        (["--rho", "0"], "e8c0b9fda1933f0d7fbde70a506bdeac9efdf0db75230912c1b52bb09c74ca0a"),
+        (
+            ["--alpha", "0.5", "--rho", "5", "--sigma", "0.1", "--e-bar", "0.2"],
+            "dc1c56d98a236ac56d50ae12ca5213fcf4771f2f33c2cfb2e13e5c476c971697",
+        ),
+    ],
+    ids=["ou", "bm", "steep"],
+)
+def test_calibrate_report_bytes_are_pinned(capsys, argv, digest):
+    assert main(["calibrate", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_calibrate_with_config_file_and_flag_override(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# custom run\nrho = 0.5\ne-bar = 0.02\n")

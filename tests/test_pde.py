@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from targetzone import (
+    Band,
     GridSpec,
     InstabilityError,
     ModelParams,
     ParameterError,
     boundary_paths,
+    calibrate_bm,
     calibrate_symmetric,
     convergence_order,
     edge_slopes,
@@ -607,3 +609,46 @@ def test_band_validation():
         Band(0.1, -0.1, -0.01, 0.01)
     with pytest.raises(ParameterError, match="e_lo"):
         Band(-0.1, 0.1, 0.01, -0.01)
+
+
+# (alpha, rho, sigma, e_bar, T): the reference and six points whose cell Peclet
+# number on 41 nodes is at most 0.85, two of them Brownian motion.
+SCALE_POINTS = [
+    (3.0, 1.0, 0.1, 0.01, 3.0),
+    (10.0, 0.05, 0.2, 0.05, 5.0),
+    (1.0, 0.0, 0.1, 0.03, 2.0),
+    (0.2, 2.0, 0.3, 0.1, 0.5),
+    (30.0, 0.01, 0.02, 0.004, 10.0),
+    (2.0, 0.0, 0.05, 0.005, 1.0),
+    (1.0, 4.0, 0.1, 0.04, 2.0),
+]
+
+
+def _scale_band(alpha, rho, sigma, e_bar):
+    if rho == 0:
+        return calibrate_bm(alpha, sigma, e_bar)[1]
+    return calibrate_symmetric(ModelParams(alpha, rho, sigma), e_bar)[1]
+
+
+@pytest.mark.parametrize("point", SCALE_POINTS, ids=[f"point-{i}" for i in range(7)])
+def test_scalings_of_the_model_are_exact(point):
+    # f scale: (sigma, band) -> (c*sigma, c*band) maps e(t, f) to c*e(t, f/c).
+    # Time scale: (alpha, rho, sigma, T) -> (alpha/k, k*rho, sqrt(k)*sigma, T/k)
+    # maps e(t, f) to e(k*t, f) and leaves f_bar as it is. With c a power of
+    # two and k one of four, every product and quotient scales exactly, so the
+    # bits must too. Calibration under f scale is not checked: Newton's
+    # absolute stop and brentq's absolute xtol break it (ROADMAP item 18).
+    alpha, rho, sigma, e_bar, horizon = point
+    grid = GridSpec(nf=41, nt=60, theta=0.5)
+    band = _scale_band(alpha, rho, sigma, e_bar)
+    base = solve_nonstationary(ModelParams(alpha, rho, sigma, horizon=horizon), band, grid)
+    for c in (2.0**20, 2.0**-20):
+        scaled = Band(c * band.f_lo, c * band.f_hi, c * band.e_lo, c * band.e_hi)
+        params = ModelParams(alpha, rho, c * sigma, horizon=horizon)
+        assert np.array_equal(solve_nonstationary(params, scaled, grid).values, c * base.values)
+    for j in (3, -3):
+        k = 4.0**j
+        scaled = _scale_band(alpha / k, k * rho, 2.0**j * sigma, e_bar)
+        assert scaled.f_hi == band.f_hi
+        params = ModelParams(alpha / k, k * rho, 2.0**j * sigma, horizon=horizon / k)
+        assert np.array_equal(solve_nonstationary(params, scaled, grid).values, base.values)

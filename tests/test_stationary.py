@@ -22,7 +22,14 @@ from targetzone import (
     stationary_ode_residual,
 )
 
-from reference_values import BM_A_COEF, BM_F_BAR, BM_LAMBDA, OU_C2, OU_F_BAR
+from reference_values import (
+    BM_A_COEF,
+    BM_F_BAR,
+    BM_LAMBDA,
+    OU_C2,
+    OU_CALIBRATIONS,
+    OU_F_BAR,
+)
 
 ZERO = StationaryCoefficients(0.0)
 
@@ -228,6 +235,14 @@ def test_cube_overflow_is_keyed_f_at_the_first_point():
     assert eval_stationary_slope(params, coefs, 1e103) == 0.5
 
 
+def test_int_beyond_the_float_range_is_keyed_f():
+    # 0.0 - f raises OverflowError before any Kummer value is taken.
+    params, coefs = ModelParams(3.0, 1.0, 0.1), StationaryCoefficients(1.0)
+    for evaluate in (eval_stationary, eval_stationary_slope, eval_stationary_curvature):
+        with pytest.raises(ParameterError, match="^f: int too large to convert to float$"):
+            evaluate(params, coefs, 10**400)
+
+
 # ---------------------------------------------------------------------------
 # symmetric calibration
 # ---------------------------------------------------------------------------
@@ -321,6 +336,20 @@ def test_calibration_matches_bisection_oracle(calibrated):
     assert band.f_hi == pytest.approx(OU_F_BAR, rel=1e-12)
     assert band.f_lo == -band.f_hi
     assert band.e_hi == 0.01 and band.e_lo == -0.01
+
+
+@pytest.mark.parametrize(
+    ("point", "c2", "f_bar"), OU_CALIBRATIONS, ids=["steep", "sweep-7", "z195", "wide"]
+)
+def test_calibration_matches_bisection_oracle_across_the_cube(point, c2, f_bar):
+    # The same frozen oracle at four more points: CI's steep point, the
+    # perfbench sweep's point 7, a second steep one, and a wide band. The
+    # reference itself sits 4 ulps from its f_bar; Newton's absolute stop
+    # leaves c2 less exact at steep points, where the value residual is flat.
+    alpha, rho, sigma, e_bar = point
+    coefs, band = calibrate_symmetric(ModelParams(alpha, rho, sigma), e_bar)
+    assert abs(band.f_hi - f_bar) <= 8 * math.ulp(f_bar)
+    assert coefs.c2 == pytest.approx(c2, rel=1e-12)
 
 
 def test_reference_calibration_is_bit_exact():
@@ -599,23 +628,26 @@ def test_overflowing_trial_point_is_a_rejected_step(monkeypatch):
 
 
 def _full_jet_trial(solution, e_bar, c2, f, norm):
-    """A trial decided on the full jet: all three Kummer values and u**3, then the norm."""
-    import targetzone.stationary as stationary_mod
-
+    """A trial decided on the full float jet: all three Kummer values and u**3, then the norm."""
     try:
-        jet = stationary_mod._jet(solution, c2, f, 2)
+        u = 0.0 - f
+        z = solution.z(u)
+        m = [kummer_m(solution.a2 + k, k + 1.5, z) for k in (0.0, 1.0, 2.0)]
+        h2, value = solution.value(c2, f, u, m[0])
+        dm2, h2p, slope = solution.slope(c2, u, m[0], m[1])
+        curvature = solution.curvature(c2, u, u**3, dm2, m[2])
     except (OverflowError, ConvergenceError):
         return None
-    res = (jet.value - e_bar, jet.slope)
+    res = (value - e_bar, slope)
     norm_new = max(abs(res[0]), abs(res[1]))
-    return (jet, res, norm_new) if norm_new < norm else None
+    return ([[h2, slope], [h2p, curvature]], res, norm_new) if norm_new < norm else None
 
 
 def _trial_bits(outcome):
     if outcome is None:
         return None
-    jet, res, norm = outcome
-    return [float(x).hex() for x in (*jet, *res, norm)]
+    (row0, row1), res, norm = outcome
+    return [float(x).hex() for x in (*row0, *row1, *res, norm)]
 
 
 def _staged_trial_case(case):
@@ -673,7 +705,7 @@ def test_staged_trial_accepts_what_the_full_jet_accepts(monkeypatch, case):
     if case == "u**3 overflows":
         assert stages == {(2, False)}  # the curvature stage raises at u**3
     elif case == "r1 is nan":
-        assert math.isnan(_full_jet_trial(solution, e_bar, 0.0, 3.5, math.inf)[0].slope)
+        assert math.isnan(_full_jet_trial(solution, e_bar, 0.0, 3.5, math.inf)[1][1])
         assert (3, True) in stages
     else:
         assert {(1, False), (2, False), (3, True)} <= stages
